@@ -35,6 +35,7 @@ from .engine import (
     EvaluationSettings,
     MatsubaraTruncationError,
     PolarizedTerm,
+    QuadratureBudgetError,
     SweepTable,
     average_separation,
     eta_sweep,
@@ -73,6 +74,7 @@ __all__ = [
     "PhysicalConstants",
     "Plasma",
     "PolarizedTerm",
+    "QuadratureBudgetError",
     "RoughPlateSpec",
     "SweepTable",
     "Vacuum",

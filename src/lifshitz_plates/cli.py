@@ -39,6 +39,7 @@ from .constants import ev2_to_angular_frequency2, ev_to_angular_frequency
 from .engine import (
     EvaluationSettings,
     MatsubaraTruncationError,
+    QuadratureBudgetError,
     eta_sweep,
     gap_from_average,
     ideal_pressure,
@@ -353,7 +354,7 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except MatsubaraTruncationError as exc:
+    except (MatsubaraTruncationError, QuadratureBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except Exception as exc:  # pragma: no cover - defensive

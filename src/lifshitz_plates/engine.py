@@ -24,9 +24,8 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence, Union
 
 import numpy as np
-from scipy import integrate
 
-from ._quad import DEFAULT_RULE, PanelRule
+from ._quad import DEFAULT_EDGES, DEFAULT_RULE, PanelRule
 from .constants import CONSTANTS, PhysicalConstants  # re-exported
 from .materials import RoughPlateSpec
 from .stack import LayerStack, _reflection, _static_reflection, as_layer_stack
@@ -35,6 +34,16 @@ Plate = Union[RoughPlateSpec, LayerStack]
 
 _MAX_REFINEMENTS = 6
 _BLOCK = 64
+
+# T = 0 rules, both ending on the default ladder from 1.5 to 60.  Outer, in
+# v = 2 a xi / c: panels graded geometrically towards v = 0, where the Drude TE
+# response varies on the scale 2 a gamma / c.  Inner, in u - v: graded towards
+# the light line u = v, near which the TE reflection at such low frequencies
+# changes fastest.
+_T0_OUTER_RULE = PanelRule.from_edges(
+    np.concatenate([[0.0], np.geomspace(1e-4, 1.0, 9), DEFAULT_EDGES[2:]]))
+_T0_INNER_RULE = PanelRule.from_edges(
+    np.concatenate([[0.0], np.geomspace(1e-4, 0.5, 6), DEFAULT_EDGES[2:]]))
 
 
 class MatsubaraTruncationError(RuntimeError):
@@ -46,6 +55,20 @@ class MatsubaraTruncationError(RuntimeError):
         super().__init__(
             f"Matsubara sum not converged after l = {l_reached} terms; "
             f"partial pressure {partial_pressure:.9e} Pa"
+        )
+
+
+class QuadratureBudgetError(RuntimeError):
+    """Raised when panel refinement stops after ``_MAX_REFINEMENTS`` splits
+    with the Kronrod-Gauss error estimate still above its target."""
+
+    def __init__(self, a: float, frequency: str, estimate: float, target: float):
+        self.gap = a
+        self.estimate = estimate
+        self.target = target
+        super().__init__(
+            f"quadrature not converged after {_MAX_REFINEMENTS} refinements at gap "
+            f"a = {a:.6e} m, {frequency}: error estimate {estimate:.3e} > target {target:.3e}"
         )
 
 
@@ -202,10 +225,14 @@ def _block_terms_scaled(stack, a, ls, temperature, quad_rel_tol, scale_hint):
             err_total = float(np.sum(err))
         block_sum = float(np.sum(te) + np.sum(tm))
         scale = max(abs(scale_hint), abs(block_sum))
-        if err_total <= 0.25 * quad_rel_tol * scale or scale == 0.0:
-            break
+        target = 0.25 * quad_rel_tol * scale
+        if err_total <= target or scale == 0.0:
+            return te, tm
         rule = rule.refined()
-    return te, tm
+    xi = matsubara_frequency(np.array([ls[0], ls[-1]]), temperature)
+    raise QuadratureBudgetError(
+        a, f"Matsubara block l = {ls[0]}..{ls[-1]} (xi = {xi[0]:.6e}..{xi[1]:.6e} rad/s)",
+        err_total, target)
 
 
 def _kperp_term(stack, a, l, temperature, quad_rel_tol):
@@ -214,6 +241,8 @@ def _kperp_term(stack, a, l, temperature, quad_rel_tol):
     Slow independent route kept as an internal oracle for the scaled-variable
     quadrature.
     """
+    from scipy import integrate
+
     xi = matsubara_frequency(l, temperature)
     out = []
     for pol in ("TE", "TM"):
@@ -338,41 +367,64 @@ def matsubara_pressure_term(
     return PolarizedTerm(te=prefactor * te, tm=prefactor * tm)
 
 
+def _t0_integrand(stack: LayerStack, a: float, v: np.ndarray, quad_rel_tol: float) -> np.ndarray:
+    """Sum over polarizations of the u integrals at each v = 2 a xi / c (> 0).
+
+    Every integral meets err <= 0.25 quad_rel_tol |F(v)|; only the frequencies
+    that miss it are integrated again on a refined rule.
+    """
+    xi = (0.5 * CONSTANTS.c / a) * v
+    values = np.empty(len(v))
+    todo = np.arange(len(v))
+    rule = _T0_INNER_RULE
+    for _ in range(_MAX_REFINEMENTS + 1):
+        err = np.empty(len(todo))
+        for start in range(0, len(todo), _BLOCK):
+            idx = todo[start:start + _BLOCK]
+            te, tm, err[start:start + _BLOCK] = _pol_integrals(stack, a, xi[idx], rule)
+            values[idx] = te + tm
+        target = 0.25 * quad_rel_tol * np.abs(values[todo])
+        missed = (err > target) & (values[todo] != 0.0)
+        if not missed.any():
+            return values
+        todo, err, target = todo[missed], err[missed], target[missed]
+        rule = rule.refined()
+    worst = int(np.argmax(err / target))
+    i = todo[worst]
+    raise QuadratureBudgetError(
+        a, f"xi = {xi[i]:.6e} rad/s (v = 2 a xi / c = {v[i]:.6e})", err[worst], target[worst])
+
+
 def pressure_zero_temperature(
     plate: Plate, a: float, settings: EvaluationSettings | None = None
 ) -> float:
     """Zero-temperature Casimir pressure: the Matsubara sum becomes an integral.
 
-    k_B T sum_l' -> (hbar / 2 pi) integral dxi, evaluated with adaptive
-    QUADPACK quadrature over xi in (0, inf); the xi = 0 endpoint falls back
-    to the analytic zero-frequency limits (open rules never sample it).
+    k_B T sum_l' -> (hbar / 2 pi) integral dxi.  In v = 2 a xi / c the
+    integrand is the sum over polarizations of the same u integrals the
+    finite-T sum uses, and it decays like exp(-v).  The v integral is a
+    Gauss-Kronrod panel rule on [0, 60] graded towards v = 0, every node's u
+    integral one row of a vectorized block.  The v integral is accepted when
+    its Kronrod-Gauss estimate is <= ``quad_rel_tol`` times its value (else
+    every v panel is split), and each u integral when its estimate is
+    <= 0.25 ``quad_rel_tol`` times its value (else only that node is refined).
+    The open rules never sample v = 0.  Raises :class:`QuadratureBudgetError`
+    when either check still fails after ``_MAX_REFINEMENTS`` splits.
     """
     settings = settings or EvaluationSettings()
     if not a > 0.0:
         raise ValueError("gap must be > 0")
     stack = as_layer_stack(plate)
     tol = settings.quad_rel_tol
-
-    def integrand(v: float) -> float:
-        # v = 2 a xi / c, so the integrand decays like exp(-v)
-        xi = 0.5 * v * CONSTANTS.c / a
-        rule = DEFAULT_RULE
-        for _ in range(_MAX_REFINEMENTS + 1):
-            if xi == 0.0:
-                te, tm, err = _pol_integrals_zero(stack, a, rule)
-                val = te + tm
-            else:
-                te, tm, err = _pol_integrals(stack, a, np.array([xi]), rule)
-                val = float(te[0] + tm[0])
-                err = float(err[0])
-            if err <= 0.25 * tol * abs(val) or val == 0.0:
-                break
-            rule = rule.refined()
-        return val
-
-    # beyond v = 60 the integrand is below ~1e-23 of its peak
-    val, _ = integrate.quad(integrand, 0.0, 60.0, epsabs=0.0, epsrel=tol, limit=300)
-    return CONSTANTS.hbar * CONSTANTS.c / (32.0 * math.pi**2 * a**4) * val
+    rule = _T0_OUTER_RULE
+    for _ in range(_MAX_REFINEMENTS + 1):
+        f = _t0_integrand(stack, a, rule.nodes, tol)
+        val = float(f @ rule.weights)
+        err = abs(float(f @ rule.error_weights))
+        if err <= tol * abs(val) or val == 0.0:
+            return CONSTANTS.hbar * CONSTANTS.c / (32.0 * math.pi**2 * a**4) * val
+        rule = rule.refined()
+    raise QuadratureBudgetError(a, "integral over v = 2 a xi / c in [0, 60]", err, tol * abs(val))
 
 
 def _plate_offsets(plate: Plate) -> tuple[float, float]:

@@ -263,6 +263,13 @@ def fit_roughness(
         raise ValueError("initial h must lie in [0, h_max]")
     if not 0.0 < f0 <= 1.0:
         raise ValueError("initial f must lie in (0, 1]")
+    offset = 2.0 * h0 * (1.0 - f0)
+    d_min = min(m.d for m in data)
+    if offset >= d_min:
+        raise ValueError(
+            f"infeasible start (h0 = {h0:.6e} m, f0 = {f0:.6g}): the gap offset "
+            f"2 h0 (1 - f0) = {offset:.6e} m must be below min(d) = {d_min:.6e} m"
+        )
     if len(data) < 2:
         warnings.warn(
             "degenerate fit: one observation cannot determine the two parameters (h, f)",

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from lifshitz_plates import EvaluationSettings, dump_measurements
+from lifshitz_plates import EvaluationSettings, dump_measurements, engine
 from lifshitz_plates.cli import main
 
 
@@ -99,6 +99,17 @@ def test_sweep_non_convergence_exit_code(capsys, tmp_path):
     assert "Matsubara" in err
 
 
+def test_quadrature_budget_exit_code(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(engine, "_MAX_REFINEMENTS", 0)
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"engine": {"quad_rel_tol": 1e-12}}))
+    code, out, err = run_cli(capsys, "pressure", "0.162", "--config", str(config),
+                             "--model", "drude", "--t0")
+    assert code == 3
+    assert out == ""
+    assert "quadrature not converged" in err
+
+
 def test_compare_orders_models(capsys):
     code, out, _ = run_cli(
         capsys, "compare", "--model", "drude", "--model", "plasma",
@@ -182,3 +193,17 @@ def test_cli_output_is_deterministic():
     second = subprocess.run(argv, capture_output=True, check=True)
     assert first.stdout == second.stdout
     assert first.stdout.count(b"\n") == 6
+
+
+def test_cli_import_leaves_quadpack_unloaded():
+    """The CLI and the default integration route never import scipy.integrate;
+    the kperp oracle imports it when it is called."""
+    script = (
+        "import sys\n"
+        "import lifshitz_plates.cli\n"
+        "assert 'scipy.integrate' not in sys.modules, 'loaded by import'\n"
+        "from lifshitz_plates import LayerStack, PerfectReflector, pressure\n"
+        "pressure(LayerStack((), PerfectReflector()), 5e-6, integration_variable='kperp')\n"
+        "assert 'scipy.integrate' in sys.modules, 'not loaded by the kperp route'\n"
+    )
+    subprocess.run([sys.executable, "-c", script], check=True)

@@ -11,6 +11,7 @@ from lifshitz_plates import (
     load_measurements,
     objective,
 )
+from lifshitz_plates import fit as fit_module
 
 
 def test_load_single_row():
@@ -158,6 +159,18 @@ def test_fit_validates_init(synthesize, gold):
         fit_roughness(data, (11e-9, 0.0), gold, 300.0)
     with pytest.raises(ValueError, match="no measurements"):
         fit_roughness([], (11e-9, 0.9), gold, 300.0)
+
+
+def test_fit_rejects_infeasible_start(synthesize, gold, monkeypatch):
+    """A start inside the (h, f) bounds whose gap offset 2 h (1 - f) reaches
+    the smallest separation is refused before any objective evaluation."""
+    data = synthesize(11e-9, 0.9, np.linspace(162e-9, 746e-9, 4))
+    calls = []
+    monkeypatch.setattr(fit_module, "objective", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match=r"h0 = 1\.000000e-07 m, f0 = 0\.05.*"
+                                         r"1\.900000e-07 m.*min\(d\) = 1\.620000e-07 m"):
+        fit_roughness(data, (100e-9, 0.05), gold, 300.0)
+    assert calls == []
 
 
 def test_fit_respects_bounds(synthesize, gold):
