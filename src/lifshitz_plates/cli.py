@@ -41,9 +41,6 @@ from .engine import (
     MatsubaraTruncationError,
     QuadratureBudgetError,
     eta_sweep,
-    gap_from_average,
-    ideal_pressure,
-    pressure,
 )
 from .fit import fit_roughness, load_measurements
 from .materials import (
@@ -142,26 +139,25 @@ def _roughness_from(config: dict, args, params: dict, required: bool):
 
 
 def _build_plate(token: str, config: dict, args):
-    """Plate object plus its (h, f) gap offsets for one model token."""
+    """Plate object for one model token."""
     name, params = _parse_model_token(token)
     material = _material_from(config)
     interband = material.interband
     if name == "perfect":
-        return LayerStack((), PerfectReflector()), 0.0, 1.0
+        return LayerStack((), PerfectReflector())
     if name == "drude":
         bulk = Drude(material.plasma_frequency, material.relaxation_frequency)
         model = Composite((bulk, interband)) if interband else bulk
-        return LayerStack((), model), 0.0, 1.0
+        return LayerStack((), model)
     if name == "plasma":
         body = Plasma(material.plasma_frequency)
         model = Composite((body, interband)) if interband else body
-        return LayerStack((), model), 0.0, 1.0
+        return LayerStack((), model)
     h_nm, f = _roughness_from(config, args, params, required=True)
-    plate = build_rough_plate(
+    return build_rough_plate(
         material.plasma_frequency, material.relaxation_frequency,
         h_nm * 1e-9, f, interband,
     )
-    return plate, h_nm * 1e-9, f
 
 
 def _resolve_models(args, config: dict) -> list[str]:
@@ -211,15 +207,12 @@ def _emit(lines: list[str], out_path: str | None) -> None:
 
 def cmd_pressure(args) -> int:
     config = _load_config(args.config)
-    plate, h, f = _build_plate(_single_model(args, config), config, args)
+    plate = _build_plate(_single_model(args, config), config, args)
     settings = _settings_from(config, args)
-    d = args.d_um * 1e-6
-    a = gap_from_average(d, h, f)
-    p = pressure(plate, a, settings)
-    eta = p / ideal_pressure(d)
+    table = eta_sweep(plate, [args.d_um * 1e-6], settings)
     _emit(
         ["d_um,a_m,P_Pa,eta",
-         ",".join([_fmt(args.d_um), _fmt(a), _fmt(p), _fmt(eta)])],
+         ",".join([_fmt(args.d_um), _fmt(table.a[0]), _fmt(table.pressure[0]), _fmt(table.eta[0])])],
         args.out,
     )
     return 0
@@ -227,7 +220,7 @@ def cmd_pressure(args) -> int:
 
 def cmd_sweep(args) -> int:
     config = _load_config(args.config)
-    plate, _, _ = _build_plate(_single_model(args, config), config, args)
+    plate = _build_plate(_single_model(args, config), config, args)
     settings = _settings_from(config, args)
     d_values = _grid_from(config, args)
     table = eta_sweep(plate, d_values, settings)
@@ -251,7 +244,7 @@ def cmd_compare(args) -> int:
     d_values = _grid_from(config, args)
     columns = []
     for token in tokens:
-        plate, _, _ = _build_plate(token, config, args)
+        plate = _build_plate(token, config, args)
         columns.append(eta_sweep(plate, d_values, settings).eta)
     stacked = np.stack(columns)
     max_delta = stacked.max(axis=0) - stacked.min(axis=0)

@@ -168,20 +168,17 @@ def gap_from_average(d: float, layer_thickness: float, fill_factor: float) -> fl
 # ----------------------------------------------------------------------
 # scaled-variable quadrature of one block of Matsubara terms
 
-def _pol_integrals(stack: LayerStack, a: float, xi: np.ndarray, rule: PanelRule):
-    """Integrals of u^2 g/(1-g) over u for each xi (>0) and polarization.
+def _panel_sums(U, rule: PanelRule, reflection):
+    """Panel sums of u^2 g/(1-g), g = r^2 exp(-u), for both polarizations.
 
-    Returns (I_te, I_tm, err) arrays of shape (len(xi),); err is the summed
-    Kronrod-Gauss error estimate of both polarizations.
+    ``reflection(pol)`` gives r at the nodes ``U``.  Returns (I_te, I_tm, err);
+    err is the summed Kronrod-Gauss error estimate of both polarizations.
     """
-    u0 = (2.0 * a / CONSTANTS.c) * xi
-    U = u0[:, None] + rule.nodes[None, :]
-    K = np.sqrt(np.maximum(U * U - (u0 * u0)[:, None], 0.0)) / (2.0 * a)
     decay = np.exp(-U)
     out = []
     err = 0.0
     for pol in ("TE", "TM"):
-        r = _reflection(stack, pol, xi[:, None], K)
+        r = reflection(pol)
         g = r * r * decay
         f = U * U * g / (1.0 - g)
         out.append(f @ rule.weights)
@@ -189,40 +186,42 @@ def _pol_integrals(stack: LayerStack, a: float, xi: np.ndarray, rule: PanelRule)
     return out[0], out[1], err
 
 
+def _pol_integrals(stack: LayerStack, a: float, xi: np.ndarray, rule: PanelRule):
+    """Integrals of u^2 g/(1-g) over u for each xi (>0) and polarization.
+
+    Returns (I_te, I_tm, err) arrays of shape (len(xi),).
+    """
+    u0 = (2.0 * a / CONSTANTS.c) * xi
+    U = u0[:, None] + rule.nodes[None, :]
+    K = np.sqrt(np.maximum(U * U - (u0 * u0)[:, None], 0.0)) / (2.0 * a)
+    return _panel_sums(U, rule, lambda pol: _reflection(stack, pol, xi[:, None], K))
+
+
 def _pol_integrals_zero(stack: LayerStack, a: float, rule: PanelRule):
-    """Same as :func:`_pol_integrals` for the xi = 0 term (analytic limits)."""
+    """Same as :func:`_pol_integrals` for the xi = 0 term (analytic limits), as floats."""
     U = rule.nodes
     K = U / (2.0 * a)
-    decay = np.exp(-U)
-    out = []
-    err = 0.0
-    for pol in ("TE", "TM"):
-        r = _static_reflection(stack, pol, K)
-        g = r * r * decay
-        f = U * U * g / (1.0 - g)
-        out.append(float(f @ rule.weights))
-        err += abs(float(f @ rule.error_weights))
-    return out[0], out[1], err
+    te, tm, err = _panel_sums(U, rule, lambda pol: _static_reflection(stack, pol, K))
+    return float(te), float(tm), float(err)
 
 
 def _block_terms_scaled(stack, a, ls, temperature, quad_rel_tol, scale_hint):
-    """Pressure-sum integrands for Matsubara indices ``ls`` with panel refinement."""
+    """Pressure-sum integrands for Matsubara indices ``ls`` with panel refinement.
+
+    The l = 0 term, when ``ls`` starts with it, goes to the analytic limits.
+    """
+    zero = ls[0] == 0
+    xi = matsubara_frequency(ls[1:] if zero else ls, temperature)
     rule = DEFAULT_RULE
     for _ in range(_MAX_REFINEMENTS + 1):
-        if ls[0] == 0:
+        # a lone l = 0 term has no positive frequencies to integrate
+        te, tm, err = _pol_integrals(stack, a, xi, rule) if len(xi) else ((), (), 0.0)
+        err_total = float(np.sum(err))
+        if zero:
             te0, tm0, err0 = _pol_integrals_zero(stack, a, rule)
-            if len(ls) > 1:
-                xi = matsubara_frequency(ls[1:], temperature)
-                te, tm, err = _pol_integrals(stack, a, xi, rule)
-                te = np.concatenate([[te0], te])
-                tm = np.concatenate([[tm0], tm])
-                err_total = err0 + float(np.sum(err))
-            else:
-                te, tm, err_total = np.array([te0]), np.array([tm0]), err0
-        else:
-            xi = matsubara_frequency(ls, temperature)
-            te, tm, err = _pol_integrals(stack, a, xi, rule)
-            err_total = float(np.sum(err))
+            te = np.concatenate([[te0], te])
+            tm = np.concatenate([[tm0], tm])
+            err_total += err0
         block_sum = float(np.sum(te) + np.sum(tm))
         scale = max(abs(scale_hint), abs(block_sum))
         target = 0.25 * quad_rel_tol * scale
@@ -349,22 +348,18 @@ def matsubara_pressure_term(
     The l = 0 term is returned with its weight one half already applied, so
     the reported values are exactly what enters the sum.  For Drude-bulk
     plates the l = 0 TE entry is an exact zero, not merely a small number.
+    The term is refined until its Kronrod-Gauss error estimate is <= 0.25
+    ``quad_rel_tol`` times its value, as in :func:`pressure`; raises
+    :class:`QuadratureBudgetError` when that fails after ``_MAX_REFINEMENTS``
+    splits.
     """
     settings = settings or EvaluationSettings()
     if l < 0:
         raise ValueError("Matsubara index must be >= 0")
-    stack = as_layer_stack(plate)
-    rule = DEFAULT_RULE
-    if l == 0:
-        te, tm, _ = _pol_integrals_zero(stack, a, rule)
-        weight = 0.5
-    else:
-        xi = matsubara_frequency(np.array([l]), settings.temperature)
-        te_a, tm_a, _ = _pol_integrals(stack, a, xi, rule)
-        te, tm = float(te_a[0]), float(tm_a[0])
-        weight = 1.0
-    prefactor = weight * _pressure_prefactor(a, settings.temperature)
-    return PolarizedTerm(te=prefactor * te, tm=prefactor * tm)
+    te, tm = _block_terms_scaled(as_layer_stack(plate), a, [l], settings.temperature,
+                                 settings.quad_rel_tol, 0.0)
+    prefactor = (0.5 if l == 0 else 1.0) * _pressure_prefactor(a, settings.temperature)
+    return PolarizedTerm(te=prefactor * float(te[0]), tm=prefactor * float(tm[0]))
 
 
 def _t0_integrand(stack: LayerStack, a: float, v: np.ndarray, quad_rel_tol: float) -> np.ndarray:
@@ -450,8 +445,8 @@ def eta_sweep(
     p_col = np.empty_like(d_sorted)
     pid_col = np.empty_like(d_sorted)
     for i, d in enumerate(d_sorted):
+        a_col[i] = gap_from_average(d, h, f)
         try:
-            a_col[i] = gap_from_average(d, h, f)
             p_col[i] = pressure(plate, a_col[i], settings)
         except ValueError as exc:
             raise ValueError(f"at average separation d = {d:.6e} m: {exc}") from exc

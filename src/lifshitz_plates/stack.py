@@ -2,10 +2,10 @@
 
 A plate is vacuum | (optional finite layers) | substrate half-space.  For
 ``xi > 0`` the coefficients follow from the Fresnel formulas combined
-right-to-left through the layers; the ``xi = 0`` point is dispatched to
-model-aware analytic limits because the conductor permittivities diverge
-there (Drude like 1/xi, plasma like 1/xi^2) and a naive evaluation produces
-0 * inf forms.
+right-to-left through the layers.  The ``xi = 0`` point runs the same
+recursion on model-aware analytic limits of each interface, because the
+conductor permittivities diverge there (Drude like 1/xi, plasma like 1/xi^2)
+and a naive evaluation produces 0 * inf forms.
 
 Sign convention (fixed for testability; only r^2 is observable in the
 pressure): r_TE = (s_i - s_j)/(s_i + s_j), r_TM = (eps_j s_i - eps_i s_j) /
@@ -125,29 +125,43 @@ def _combine(r_outer: ArrayLike, r_inner: ArrayLike, phase: ArrayLike) -> ArrayL
     return (r_outer + r_inner * phase) / (1.0 + r_outer * r_inner * phase)
 
 
+def _media(stack: LayerStack) -> list[DielectricModel]:
+    """Vacuum, the finite layers, then the substrate unless it is a perfect mirror."""
+    media = [Vacuum(), *(model for model, _ in stack.layers)]
+    if not isinstance(stack.substrate, PerfectReflector):
+        media.append(stack.substrate)
+    return media
+
+
+def _recurse(
+    stack: LayerStack, polarization: Polarization, s: list[ArrayLike], interface
+) -> ArrayLike:
+    """Combine interface coefficients right-to-left through the layers.
+
+    ``s[j]`` is the axial wavenumber in medium j of :func:`_media` and
+    ``interface(i, j)`` the coefficient from medium i onto medium j.
+    """
+    if isinstance(stack.substrate, PerfectReflector):
+        r = np.broadcast_to(1.0 if polarization == "TM" else -1.0, np.shape(s[0]))
+    else:
+        r = interface(len(s) - 2, len(s) - 1)
+    for j in range(len(stack.layers), 0, -1):
+        thickness = stack.layers[j - 1][1]
+        phase = _decayed(2.0 * thickness * s[j])
+        r = _combine(interface(j - 1, j), r, phase)
+    return r
+
+
 def _reflection(
     stack: LayerStack, polarization: Polarization, xi: ArrayLike, k_perp: ArrayLike
 ) -> ArrayLike:
     """Plate reflection coefficient for xi > 0 (vectorized, broadcasting)."""
     xi = np.asarray(xi, dtype=float)
     k_perp = np.asarray(k_perp, dtype=float)
-    media = [Vacuum(), *(model for model, _ in stack.layers)]
-    eps = [permittivity_imag_axis(m, xi) for m in media]
+    eps = [permittivity_imag_axis(m, xi) for m in _media(stack)]
     s = [axial_wavenumber(e, xi, k_perp) for e in eps]
-
-    mirror = isinstance(stack.substrate, PerfectReflector)
-    if mirror:
-        r = np.broadcast_to(1.0 if polarization == "TM" else -1.0, np.broadcast_shapes(xi.shape, k_perp.shape))
-    else:
-        eps_sub = permittivity_imag_axis(stack.substrate, xi)
-        s_sub = axial_wavenumber(eps_sub, xi, k_perp)
-        r = fresnel(polarization, eps[-1], eps_sub, s[-1], s_sub)
-
-    for j in range(len(stack.layers), 0, -1):
-        thickness = stack.layers[j - 1][1]
-        phase = _decayed(2.0 * thickness * s[j])
-        r = _combine(fresnel(polarization, eps[j - 1], eps[j], s[j - 1], s[j]), r, phase)
-    return r
+    return _recurse(stack, polarization, s,
+                    lambda i, j: fresnel(polarization, eps[i], eps[j], s[i], s[j]))
 
 
 def plate_reflection(
@@ -164,32 +178,15 @@ def _static_reflection(
 ) -> ArrayLike:
     """Analytic xi -> 0 limit of the plate reflection coefficient."""
     k_perp = np.asarray(k_perp, dtype=float)
-    media = [Vacuum(), *(model for model, _ in stack.layers)]
-    limits = [static_limit(m) for m in media]
+    limits = [static_limit(m) for m in _media(stack)]
     # eps xi^2 survives the limit only for 1/xi^2 divergences (plasma-like)
     s = [
         axial_wavenumber(1.0, 0.0, k_perp) if order < 2
         else np.sqrt(k_perp**2 + amplitude / CONSTANTS.c**2)
         for order, amplitude in limits
     ]
-
-    mirror = isinstance(stack.substrate, PerfectReflector)
-    if mirror:
-        r = np.broadcast_to(1.0 if polarization == "TM" else -1.0, k_perp.shape)
-    else:
-        limits.append(static_limit(stack.substrate))
-        order, amplitude = limits[-1]
-        s.append(
-            axial_wavenumber(1.0, 0.0, k_perp) if order < 2
-            else np.sqrt(k_perp**2 + amplitude / CONSTANTS.c**2)
-        )
-        r = _static_fresnel(polarization, limits[-2], limits[-1], s[-2], s[-1])
-
-    for j in range(len(stack.layers), 0, -1):
-        thickness = stack.layers[j - 1][1]
-        phase = _decayed(2.0 * thickness * s[j])
-        r = _combine(_static_fresnel(polarization, limits[j - 1], limits[j], s[j - 1], s[j]), r, phase)
-    return r
+    return _recurse(stack, polarization, s,
+                    lambda i, j: _static_fresnel(polarization, limits[i], limits[j], s[i], s[j]))
 
 
 def _static_fresnel(polarization, limit_i, limit_j, s_i, s_j):

@@ -54,6 +54,15 @@ def test_pressure_requires_model(capsys):
     assert "model" in err
 
 
+@pytest.mark.parametrize("grid", [("pressure", "0.01"),
+                                  ("sweep", "--dmin", "0.01", "--dmax", "0.01", "--points", "1")])
+def test_infeasible_separation_reported_once(capsys, grid):
+    # 2 h (1 - f) = 11 nm exceeds d = 10 nm
+    code, _, err = run_cli(capsys, *grid, "--model", "two-layer", "--h-nm", "11", "--f", "0.5")
+    assert code == 2
+    assert err.count("average separation d") == 1
+
+
 def test_sweep_perfect_reflector(capsys):
     code, out, _ = run_cli(
         capsys, "sweep", "--model", "perfect", "--t0",

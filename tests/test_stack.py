@@ -166,6 +166,7 @@ def test_reflection_bounded_by_one(rough_plate):
             ((Plasma(0.5 * GOLD_WP), 3e-9), (OscillatorSum([(4.2e31, 3.1e15, 0.0)]), 40e-9)),
             Drude(GOLD_WP, GOLD_GAMMA),
         ),
+        LayerStack(((Plasma(0.5 * GOLD_WP), 20e-9),), PerfectReflector()),
     ]
     xi = 10.0 ** rng.uniform(10, 18, size=60)
     k = 10.0 ** rng.uniform(3, 9, size=60)

@@ -9,6 +9,7 @@ from lifshitz_plates import (
     EvaluationSettings,
     QuadratureBudgetError,
     as_layer_stack,
+    matsubara_pressure_term,
     pressure,
     pressure_zero_temperature,
 )
@@ -62,4 +63,6 @@ def test_refinement_budget_exhaustion_raises(monkeypatch, drude_stack):
     finite_t = EvaluationSettings(temperature=300.0, quad_rel_tol=1e-12)
     with pytest.raises(QuadratureBudgetError, match=r"Matsubara block l = 0\.\.63"):
         pressure(drude_stack, 162e-9, finite_t)
+    with pytest.raises(QuadratureBudgetError, match=r"Matsubara block l = 1\.\.1"):
+        matsubara_pressure_term(drude_stack, 162e-9, 1, finite_t)
 
