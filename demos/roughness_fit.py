@@ -1,9 +1,11 @@
 """Recovering the rough-layer parameters from noisy measurements.
 
 Generates a synthetic reduction-factor dataset from the two-layer model at
-(h = 11 nm, f = 0.9) with 0.2% multiplicative noise, then runs the simplex
-fit from a deliberately wrong starting point and prints the recovered
-parameters together with the chi^2 curvature at the optimum.
+(h = 11 nm, f = 0.9) with 0.2% multiplicative noise, then runs the projected
+Levenberg-Marquardt fit from a deliberately wrong starting point (and, as
+always, from the fixed second start (h_scale, 0.5)) and prints the recovered
+parameters, the Gauss-Newton curvature 2 J^T J of chi^2 and the covariance
+s^2 (J^T J)^-1 at the optimum.
 """
 
 import numpy as np
@@ -41,9 +43,11 @@ def main(seed=3):
           f"chi2 = {result.chi2:.3e}, {result.n_evaluations} evaluations, "
           f"converged = {result.converged}")
     curvature = result.h_f_covariance_proxy
-    print("chi^2 curvature at the optimum (d2/dh2, d2/dhdf; d2/dhdf, d2/df2):")
+    print("Gauss-Newton curvature 2 J^T J of chi^2 at the optimum, in (h [m], f):")
     print(f"  [[{curvature[0, 0]:.3e}, {curvature[0, 1]:.3e}],")
     print(f"   [{curvature[1, 0]:.3e}, {curvature[1, 1]:.3e}]]")
+    sigma_h, sigma_f = np.sqrt(np.diag(result.covariance))
+    print(f"standard errors from s^2 (J^T J)^-1: h +- {sigma_h * 1e9:.2f} nm, f +- {sigma_f:.4f}")
 
     residuals = eta_sweep(
         build_rough_plate(GOLD.plasma_frequency, GOLD.relaxation_frequency, result.h, result.f),

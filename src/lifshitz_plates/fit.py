@@ -1,15 +1,17 @@
 """Least-squares estimation of the rough-layer parameters (h, f).
 
-The reduction factor predicted by the two-layer model is compared with
-measured (d, eta) pairs through an unweighted (or sigma-weighted) chi^2,
-minimized by a derivative-free Nelder-Mead simplex in transformed
-coordinates that respect the parameter domains: a logistic transform keeps
-the fill fraction inside (0, 1) and a softplus transform keeps the layer
-thickness positive, with a smooth penalty above the requested h ceiling.
+The two-layer model's reduction factor is compared with measured (d, eta)
+pairs through the weighted residuals r = (eta_model - eta_obs) / sigma, and
+chi^2 = |r|^2 is minimized by projected Levenberg-Marquardt in
+x = (h / h_scale, f).  Every point tried lies in the parameter domain and
+inside the feasibility bound 2 h (1 - f) < min(d), so every gap
+a = d - 2 h (1 - f) is positive.  A second run from a fixed start escapes
+the basin near f -> 0, where the layer acts almost like vacuum.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import math
@@ -19,12 +21,19 @@ from pathlib import Path
 from typing import Sequence, TextIO, Union
 
 import numpy as np
-from scipy.special import expit, logit
 
-from .engine import EvaluationSettings, eta_sweep
+from .engine import EvaluationSettings, MatsubaraTruncationError, QuadratureBudgetError, eta_sweep
 from .materials import BulkMetal, build_rough_plate
 
-_PENALTY = 1e6
+# Relative distance kept from the domain's open edges: f >= _MARGIN and
+# 2 h (1 - f) <= (1 - _MARGIN) min(d).
+_MARGIN = 1e-3
+_LAMBDA_START = 1e-3
+_LAMBDA_MAX = 1e10
+# Levenberg floor of the Marquardt scaling, relative to trace(J^T J): the f
+# column of J vanishes at h = 0, and the damping diag(J^T J) with it.
+_LEVENBERG_FLOOR = 1e-9
+_ENGINE_ERRORS = (ValueError, MatsubaraTruncationError, QuadratureBudgetError)
 
 
 @dataclass(frozen=True)
@@ -48,8 +57,11 @@ class Measurement:
 class FitResult:
     """Fitted rough-layer parameters and bookkeeping.
 
-    ``h_f_covariance_proxy`` is the finite-difference Hessian of chi^2 at the
-    optimum (a curvature estimate, not a calibrated covariance).
+    Both matrices are in (h [m], f) and come from the last forward-difference
+    Jacobian J of the kept run, at no extra evaluations.
+    ``h_f_covariance_proxy`` is 2 J^T J, the Gauss-Newton curvature of chi^2.
+    ``covariance`` is s^2 (J^T J)^-1 with s^2 = chi^2 / (N - 2); its entries
+    are non-finite when J^T J is singular (as at h = 0) or N <= 2.
     """
 
     h: float
@@ -58,6 +70,7 @@ class FitResult:
     n_evaluations: int
     converged: bool
     h_f_covariance_proxy: np.ndarray
+    covariance: np.ndarray
 
     def to_dict(self) -> dict:
         return {
@@ -67,6 +80,7 @@ class FitResult:
             "n_evaluations": self.n_evaluations,
             "converged": self.converged,
             "h_f_covariance_proxy": np.asarray(self.h_f_covariance_proxy).tolist(),
+            "covariance": np.asarray(self.covariance).tolist(),
         }
 
 
@@ -147,6 +161,27 @@ def dump_measurements(
         Path(target).write_text(text)
 
 
+def residuals(
+    h: float,
+    f: float,
+    data: Sequence[Measurement],
+    material: BulkMetal,
+    temperature: float,
+    settings: EvaluationSettings | None = None,
+) -> np.ndarray:
+    """Weighted residuals (eta_model - eta_obs) / sigma, in the order of ``data``."""
+    if not data:
+        raise ValueError("no measurements")
+    settings = settings or EvaluationSettings(temperature=temperature)
+    plate = build_rough_plate(
+        material.plasma_frequency, material.relaxation_frequency, h, f, material.interband
+    )
+    d, eta_obs, sigma = np.array([(m.d, m.eta, m.sigma) for m in data]).T
+    eta = np.empty_like(d)
+    eta[np.argsort(d)] = eta_sweep(plate, d, settings).eta  # rows come in ascending d
+    return (eta - eta_obs) / sigma
+
+
 def objective(
     h: float,
     f: float,
@@ -156,85 +191,8 @@ def objective(
     settings: EvaluationSettings | None = None,
 ) -> float:
     """Weighted chi^2 of the two-layer model against the measurements."""
-    if not data:
-        raise ValueError("no measurements")
-    settings = settings or EvaluationSettings(temperature=temperature)
-    plate = build_rough_plate(
-        material.plasma_frequency, material.relaxation_frequency, h, f, material.interband
-    )
-    order = np.argsort([m.d for m in data])
-    table = eta_sweep(plate, [data[i].d for i in order], settings)
-    chi2 = 0.0
-    for row, i in enumerate(order):
-        chi2 += ((table.eta[row] - data[i].eta) / data[i].sigma) ** 2
-    return chi2
-
-
-def _softplus(x: float) -> float:
-    return x + math.log1p(math.exp(-x)) if x > 0 else math.log1p(math.exp(x))
-
-
-def _inv_softplus(y: float) -> float:
-    # log(expm1(y)), stable for large y
-    return y + math.log(-math.expm1(-y)) if y > 30 else math.log(math.expm1(y))
-
-
-def _nelder_mead(fun, x0, step, xtol, frel, fabs, max_evaluations):
-    """Minimal deterministic Nelder-Mead with the convergence contract used here.
-
-    Converged when the simplex diameter drops below ``xtol`` relative to the
-    coordinate scale and the function spread is below ``frel`` relative (with
-    ``fabs`` as an absolute floor for exact-zero minima).
-    """
-    n = len(x0)
-    simplex = [np.array(x0, dtype=float)]
-    for i in range(n):
-        vertex = np.array(x0, dtype=float)
-        vertex[i] += step
-        simplex.append(vertex)
-    evals = 0
-
-    def call(x):
-        nonlocal evals
-        evals += 1
-        return fun(x)
-
-    fvals = [call(v) for v in simplex]
-
-    while True:
-        order = np.argsort(fvals, kind="stable")
-        simplex = [simplex[i] for i in order]
-        fvals = [fvals[i] for i in order]
-
-        scale = 1.0 + np.abs(simplex[0])
-        diameter = max(np.max(np.abs(v - simplex[0]) / scale) for v in simplex[1:])
-        spread = fvals[-1] - fvals[0]
-        if diameter < xtol and spread <= frel * abs(fvals[0]) + fabs:
-            return simplex[0], fvals[0], evals, True
-        if evals >= max_evaluations:
-            return simplex[0], fvals[0], evals, False
-
-        centroid = np.mean(simplex[:-1], axis=0)
-        reflected = centroid + (centroid - simplex[-1])
-        f_r = call(reflected)
-        if f_r < fvals[0]:
-            expanded = centroid + 2.0 * (centroid - simplex[-1])
-            f_e = call(expanded)
-            if f_e < f_r:
-                simplex[-1], fvals[-1] = expanded, f_e
-            else:
-                simplex[-1], fvals[-1] = reflected, f_r
-        elif f_r < fvals[-2]:
-            simplex[-1], fvals[-1] = reflected, f_r
-        else:
-            contracted = centroid + 0.5 * (simplex[-1] - centroid)
-            f_c = call(contracted)
-            if f_c < fvals[-1]:
-                simplex[-1], fvals[-1] = contracted, f_c
-            else:
-                for i in range(1, len(simplex)):
-                    simplex[i] = simplex[0] + 0.5 * (simplex[i] - simplex[0])
-                    fvals[i] = call(simplex[i])
+    r = residuals(h, f, data, material, temperature, settings)
+    return float(r @ r)
 
 
 def fit_roughness(
@@ -248,16 +206,27 @@ def fit_roughness(
     max_evaluations: int = 2000,
     h_scale: float | None = None,
 ) -> FitResult:
-    """Fit (h, f) to reduction-factor data by bounded Nelder-Mead descent.
+    """Fit (h, f) to reduction-factor data by projected Levenberg-Marquardt.
 
-    ``init`` must lie inside the bounds h in [0, h_max], f in (0, 1].  The
-    search runs in transformed coordinates (softplus for h, logistic for f);
-    ``h_scale`` sets the thickness unit of the softplus transform and only
-    affects step sizes, not the optimum.  When the evaluation budget runs out
-    the best point so far is returned with ``converged=False``.
+    ``init`` must satisfy 0 <= h <= h_max, 0 < f <= 1 and 2 h (1 - f) < min(d),
+    else ``ValueError`` is raised before any evaluation.  Every point tried is
+    projected onto 0 <= h <= h_max, 1e-3 <= f <= 1 and
+    2 h (1 - f) <= (1 - 1e-3) min(d): one margin, 1e-3, on both open edges.
+    The search runs in x = (h / h_scale, f); ``h_scale`` (default h_max / 10)
+    is the thickness unit of the difference step and of the fixed second
+    start (h_scale, 0.5), not a bound.  Runs from ``init`` and from the fixed
+    start (unless the two coincide) keep the lower chi^2.  A trial point the
+    engine refuses with a typed error is rejected; such an error at ``init``
+    propagates, and at the fixed start drops that run.  ``converged`` means
+    the kept run passed a step and a gradient test set against eta's own
+    noise, ``quad_rel_tol`` relative.  ``max_evaluations`` counts residual
+    evaluations of both runs; when it runs out the best point so far is
+    returned with ``converged=False``.
     """
     if not data:
         raise ValueError("no measurements")
+    if not h_max > 0.0:
+        raise ValueError("h_max must be > 0")
     h0, f0 = init
     if not 0.0 <= h0 <= h_max:
         raise ValueError("initial h must lie in [0, h_max]")
@@ -277,60 +246,104 @@ def fit_roughness(
         )
     settings = settings or EvaluationSettings(temperature=temperature)
     h_scale = h_scale or max(h_max / 10.0, 1e-9)
+    noise = settings.quad_rel_tol * math.hypot(*(m.eta / m.sigma for m in data))
+    step = math.sqrt(settings.quad_rel_tol)
 
-    def unpack(x):
-        h = h_scale * _softplus(x[0])
-        f = float(expit(x[1]))
-        return h, f
+    def project(x):
+        f = min(max(x[1], _MARGIN), 1.0)
+        h_top = h_max if f == 1.0 else min(h_max, (1.0 - _MARGIN) * d_min / (2.0 * (1.0 - f)))
+        return np.array([min(max(x[0], 0.0), h_top / h_scale), f])
 
-    def penalized(x):
-        h, f = unpack(x)
-        value = objective(h, f, data, material, temperature, settings)
-        if h > h_max:
-            value += _PENALTY * ((h - h_max) / h_scale) ** 2
-        return value
+    evaluations = 0
 
-    x0 = np.array([
-        _inv_softplus(max(h0, 1e-6 * h_scale) / h_scale),
-        float(logit(min(f0, 1.0 - 1e-12))),
-    ])
-    x_best, chi2, n_evals, converged = _nelder_mead(
-        penalized, x0, step=0.3, xtol=1e-3, frel=1e-6, fabs=1e-18,
-        max_evaluations=max_evaluations,
-    )
-    h_fit, f_fit = unpack(x_best)
+    def residual(x):
+        nonlocal evaluations
+        evaluations += 1
+        return residuals(x[0] * h_scale, x[1], data, material, temperature, settings)
 
-    hessian, hess_evals = _chi2_curvature(
-        h_fit, f_fit, data, material, temperature, settings, h_max
-    )
+    def budget():
+        return max_evaluations - evaluations
+
+    starts = [project(np.array([h0 / h_scale, f0])), project(np.array([1.0, 0.5]))]
+    runs = [_levenberg_marquardt(residual, starts[0], project, noise, step, budget)]
+    if not np.array_equal(*starts) and budget() >= 3:
+        with contextlib.suppress(*_ENGINE_ERRORS):
+            runs.append(_levenberg_marquardt(residual, starts[1], project, noise, step, budget))
+    x_best, chi2, jac, converged = min(runs, key=lambda run: run[1])
+    jac = jac / np.array([h_scale, 1.0])
+    curvature = jac.T @ jac
+    curvature = 0.5 * (curvature + curvature.T)
+    s2 = chi2 / (len(data) - 2) if len(data) > 2 else math.nan
+    a, b, c = curvature[0, 0], curvature[0, 1], curvature[1, 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        covariance = s2 / (a * c - b * b) * np.array([[c, -b], [-b, a]])
     return FitResult(
-        h=h_fit,
-        f=f_fit,
+        h=float(x_best[0] * h_scale),
+        f=float(x_best[1]),
         chi2=chi2,
-        n_evaluations=n_evals + hess_evals,
+        n_evaluations=evaluations,
         converged=converged,
-        h_f_covariance_proxy=hessian,
+        h_f_covariance_proxy=2.0 * curvature,
+        covariance=covariance,
     )
 
 
-def _chi2_curvature(h, f, data, material, temperature, settings, h_max):
-    """Finite-difference Hessian of chi^2 at (h, f), with boundary-safe steps."""
-    dh = min(max(2e-11, 0.002 * h_max), 0.5 * h) if h > 0 else max(2e-11, 0.002 * h_max)
-    df = min(1e-3, 0.5 * (1.0 - f) if f < 1.0 else 1e-3, 0.5 * f)
-    if df <= 0.0:
-        df = 1e-6
-    evals = 0
+def _jacobian(residual, x, r, project, step):
+    """Forward-difference Jacobian of ``residual`` at ``x`` in two evaluations;
+    a step that the projection would alter goes inward instead."""
+    jac = np.empty((len(r), 2))
+    for i in range(2):
+        dx = np.zeros(2)
+        dx[i] = step
+        if not np.array_equal(project(x + dx), x + dx):
+            dx = -dx
+        jac[:, i] = (residual(x + dx) - r) / dx[i]
+    return jac
 
-    def chi(hh, ff):
-        nonlocal evals
-        evals += 1
-        return objective(max(hh, 0.0), min(max(ff, 1e-12), 1.0), data, material, temperature, settings)
 
-    center = chi(h, f)
-    d2h = (chi(h + dh, f) - 2.0 * center + chi(max(h - dh, 0.0), f)) / dh**2
-    d2f = (chi(h, f + df) - 2.0 * center + chi(h, f - df)) / df**2
-    cross = (
-        chi(h + dh, f + df) - chi(h + dh, f - df)
-        - chi(max(h - dh, 0.0), f + df) + chi(max(h - dh, 0.0), f - df)
-    ) / (4.0 * dh * df)
-    return np.array([[d2h, cross], [cross, d2f]]), evals
+def _levenberg_marquardt(residual, x, project, noise, step, budget):
+    """Projected Levenberg-Marquardt from the feasible ``x``; returns
+    (x, chi2, J, converged).
+
+    Errors at ``x`` propagate; a trial whose residual or Jacobian raises an
+    engine error is rejected.  A trial costs one evaluation, and an accepted
+    one two more, so trials run only while ``budget()`` >= 3.  A coordinate
+    held at a bound against the gradient stays.  Converged: the step s
+    passes |J s|^2 <= 2 |r| noise + noise^2 (its predicted change of chi^2
+    is within chi^2's noise), and every free coordinate passes
+    |J_i^T r| <= |J_i| (noise + step |r|), ``step`` being the relative
+    accuracy of the forward differences.
+    """
+    r = residual(x)
+    jac = _jacobian(residual, x, r, project, step)
+    lam = _LAMBDA_START
+    while lam <= _LAMBDA_MAX:
+        chi2 = float(r @ r)
+        grad = jac.T @ r
+        free = np.array([project(x - step * np.sign(grad[i]) * np.eye(2)[i])[i] != x[i]
+                         for i in range(2)])
+        curvature = jac.T @ jac
+        scale = np.maximum(np.diag(curvature), _LEVENBERG_FLOOR * np.trace(curvature))
+        p = np.zeros(2)
+        block = np.ix_(free, free)
+        p[free] = np.linalg.solve(curvature[block] + lam * np.diag(scale[free]), -grad[free])
+        trial = project(x + p)
+        r_norm = math.sqrt(chi2)
+        small_step = np.sum((jac @ (trial - x)) ** 2) <= 2.0 * r_norm * noise + noise**2
+        small_grad = np.all(np.abs(grad[free]) <= np.linalg.norm(jac[:, free], axis=0)
+                            * (noise + step * r_norm))
+        if small_step and small_grad:
+            return x, chi2, jac, True
+        if budget() < 3:
+            break
+        try:
+            r_trial = residual(trial)
+            if r_trial @ r_trial < chi2:
+                jac = _jacobian(residual, trial, r_trial, project, step)
+                x, r = trial, r_trial
+                lam /= 10.0
+                continue
+        except _ENGINE_ERRORS:
+            pass
+        lam *= 10.0
+    return x, float(r @ r), jac, False

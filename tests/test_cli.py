@@ -166,6 +166,8 @@ def test_fit_recovers_synthetic_parameters(capsys, tmp_path, synthesize):
     assert report["h_nm"] == pytest.approx(11.0, abs=0.2)
     assert report["f"] == pytest.approx(0.9, abs=0.01)
     assert report["settings"]["temperature_K"] == 300.0
+    cov = np.array(report["covariance"])
+    assert cov.shape == (2, 2) and cov[0, 1] == cov[1, 0]
     header, rows = parse_csv(out_path.read_text())
     assert header == ["d_um", "eta_obs", "eta_fit", "residual"]
     assert len(rows) == 6

@@ -14,6 +14,12 @@ from lifshitz_plates import (
 from lifshitz_plates import fit as fit_module
 
 
+@pytest.fixture(scope="module")
+def acceptance_data(synthesize):
+    """The noiseless 30-point dataset of acceptance criterion 8."""
+    return synthesize(11e-9, 0.9, np.linspace(162e-9, 746e-9, 30))
+
+
 def test_load_single_row():
     data = load_measurements("d_um,eta\n0.746,0.55\n")
     assert len(data) == 1
@@ -128,6 +134,45 @@ def test_fit_recovers_noiseless_truth(synthesize, gold):
     assert proxy[0, 1] == proxy[1, 0]
 
 
+@pytest.mark.parametrize("start", [(0.0, 0.5), (100e-9, 1.0), (80e-9, 0.1), (1e-9, 0.05)],
+                         ids=["zero-thickness", "both-at-bounds", "near-f-floor",
+                              "thin-near-f-floor"])
+def test_fit_reaches_truth_from_feasible_start(acceptance_data, gold, start):
+    """(0, 0.5) is feasible, but a search from it can step to 2 h (1 - f) > min(d);
+    (100 nm, 1.0) has both parameters at a bound, where a search can stall and
+    still report convergence.  From the last two a single Levenberg-Marquardt
+    run stops near f -> 0 (h = 22 nm, chi2 = 2.3e-2), so the fixed second
+    start has to reach the truth."""
+    result = fit_roughness(acceptance_data, start, gold, 300.0)
+    assert result.converged
+    assert abs(result.h - 11e-9) <= 0.1e-9
+    assert abs(result.f - 0.9) <= 0.005
+    assert result.chi2 <= 1e-12
+
+
+def test_fit_covariance_brackets_truth(synthesize, gold):
+    data = synthesize(11e-9, 0.9, np.linspace(162e-9, 746e-9, 30),
+                      noise=0.002, seed=7, weighted=True)
+    result = fit_roughness(data, (5e-9, 0.8), gold, 300.0)
+    cov = result.covariance
+    assert cov.shape == (2, 2)
+    assert cov[0, 1] == cov[1, 0]
+    assert cov[0, 0] > 0.0 and cov[1, 1] > 0.0
+    assert abs(result.h - 11e-9) <= 5.0 * np.sqrt(cov[0, 0])
+    assert abs(result.f - 0.9) <= 5.0 * np.sqrt(cov[1, 1])
+
+
+@pytest.mark.filterwarnings("error")
+def test_fit_covariance_singular_at_zero_thickness(synthesize, gold):
+    """At h = 0 the f column of the Jacobian is exactly zero: J^T J is
+    singular, and the covariance is reported non-finite instead of raising."""
+    data = synthesize(0.0, 0.9, np.linspace(200e-9, 700e-9, 4))
+    result = fit_roughness(data, (0.0, 0.9), gold, 300.0)
+    assert result.h == 0.0 and result.chi2 == 0.0
+    assert not np.all(np.isfinite(result.covariance))
+    assert np.all(np.isfinite(result.h_f_covariance_proxy))
+
+
 def test_fit_reparameterization_invariance(synthesize, gold):
     data = synthesize(11e-9, 0.9, np.linspace(200e-9, 700e-9, 8))
     first = fit_roughness(data, (8e-9, 0.85), gold, 300.0, h_scale=2e-9)
@@ -157,6 +202,8 @@ def test_fit_validates_init(synthesize, gold):
         fit_roughness(data, (200e-9, 0.9), gold, 300.0, h_max=100e-9)
     with pytest.raises(ValueError, match="initial f"):
         fit_roughness(data, (11e-9, 0.0), gold, 300.0)
+    with pytest.raises(ValueError, match="h_max"):
+        fit_roughness(data, (0.0, 0.9), gold, 300.0, h_max=0.0)
     with pytest.raises(ValueError, match="no measurements"):
         fit_roughness([], (11e-9, 0.9), gold, 300.0)
 
