@@ -168,22 +168,21 @@ def gap_from_average(d: float, layer_thickness: float, fill_factor: float) -> fl
 # ----------------------------------------------------------------------
 # scaled-variable quadrature of one block of Matsubara terms
 
-def _panel_sums(U, rule: PanelRule, reflection):
+def _panel_sums(U, rule: PanelRule, r):
     """Panel sums of u^2 g/(1-g), g = r^2 exp(-u), for both polarizations.
 
-    ``reflection(pol)`` gives r at the nodes ``U``.  Returns (I_te, I_tm, err);
-    err is the summed Kronrod-Gauss error estimate of both polarizations.
+    ``r`` is the reflection coefficient at the nodes ``U`` with a leading
+    [TE, TM] axis.  Returns (I_te, I_tm, err); err is the Kronrod-Gauss error
+    estimate summed over both polarizations.
     """
-    decay = np.exp(-U)
-    out = []
-    err = 0.0
-    for pol in ("TE", "TM"):
-        r = reflection(pol)
-        g = r * r * decay
-        f = U * U * g / (1.0 - g)
-        out.append(f @ rule.weights)
-        err = err + np.abs(f @ rule.error_weights)
-    return out[0], out[1], err
+    # in place: one (2, rows, nodes) temporary fewer per step keeps the T = 0
+    # blocks from trimming and regrowing the heap on every call
+    g = r * r
+    g *= np.exp(-U)
+    f = U * U * g
+    f /= 1.0 - g
+    te, tm = f @ rule.weights
+    return te, tm, np.abs(f @ rule.error_weights).sum(axis=0)
 
 
 def _pol_integrals(stack: LayerStack, a: float, xi: np.ndarray, rule: PanelRule):
@@ -194,15 +193,16 @@ def _pol_integrals(stack: LayerStack, a: float, xi: np.ndarray, rule: PanelRule)
     u0 = (2.0 * a / CONSTANTS.c) * xi
     U = u0[:, None] + rule.nodes[None, :]
     K = np.sqrt(np.maximum(U * U - (u0 * u0)[:, None], 0.0)) / (2.0 * a)
-    return _panel_sums(U, rule, lambda pol: _reflection(stack, pol, xi[:, None], K))
+    return _panel_sums(U, rule, _reflection(stack, xi[:, None], K))
 
 
 def _pol_integrals_zero(stack: LayerStack, a: float, rule: PanelRule):
     """Same as :func:`_pol_integrals` for the xi = 0 term (analytic limits), as floats."""
-    U = rule.nodes
-    K = U / (2.0 * a)
-    te, tm, err = _panel_sums(U, rule, lambda pol: _static_reflection(stack, pol, K))
-    return float(te), float(tm), float(err)
+    # one row of nodes, so each polarization sums as a dot product of its own;
+    # a 2 x m matrix-vector product rounds differently in the last bit
+    U = rule.nodes[None, :]
+    te, tm, err = _panel_sums(U, rule, _static_reflection(stack, U / (2.0 * a)))
+    return float(te[0]), float(tm[0]), float(err[0])
 
 
 def _block_terms_scaled(stack, a, ls, temperature, quad_rel_tol, scale_hint):
@@ -244,15 +244,12 @@ def _kperp_term(stack, a, l, temperature, quad_rel_tol):
 
     xi = matsubara_frequency(l, temperature)
     out = []
-    for pol in ("TE", "TM"):
+    for pol in (0, 1):
         def integrand(t: float) -> float:
             # t = 2 a k restores an O(1) decay scale for QUADPACK
             k = 0.5 * t / a
             q = math.sqrt(k * k + (xi / CONSTANTS.c) ** 2)
-            if l == 0:
-                r = _static_reflection(stack, pol, np.asarray(k))
-            else:
-                r = _reflection(stack, pol, np.asarray(xi), np.asarray(k))
+            r = (_static_reflection(stack, k) if l == 0 else _reflection(stack, xi, k))[pol]
             arg = 2.0 * a * q
             g = float(r) ** 2 * (math.exp(-arg) if arg < 700.0 else 0.0)
             return k * q * g / (1.0 - g)
@@ -264,31 +261,27 @@ def _kperp_term(stack, a, l, temperature, quad_rel_tol):
     return np.array([out[0]]), np.array([out[1]])
 
 
-def _sum_terms(stack, a, settings: EvaluationSettings, term_blocks) -> tuple[float, float, float]:
+def _sum_terms(a, settings: EvaluationSettings, term_blocks) -> float:
     """Run the primed Matsubara sum with the truncation policy.
 
-    ``term_blocks(ls, scale_hint)`` returns (te, tm) integrand arrays for the
-    requested indices.  Returns (sum, te0, tm0) where the l = 0 integrals are
-    reported separately (already half-weighted in the sum).
+    ``term_blocks(ls, scale_hint)`` returns the integrands te + tm for the
+    requested indices; the l = 0 term enters with weight one half.
     """
     total = 0.0
-    te0 = tm0 = 0.0
     streak = 0
     l = 0
     while l <= settings.l_max:
         ls = np.arange(l, min(l + _BLOCK, settings.l_max + 1))
-        te, tm = term_blocks(ls, total)
-        for i, li in enumerate(ls):
-            term = float(te[i] + tm[i])
+        for li, term in zip(ls, term_blocks(ls, total)):
+            term = float(term)
             if li == 0:
-                te0, tm0 = float(te[i]), float(tm[i])
                 total += 0.5 * term
                 continue
             total += term
             if abs(term) < settings.sum_rel_tol * abs(total):
                 streak += 1
                 if streak >= settings.consecutive_small_terms:
-                    return total, te0, tm0
+                    return total
             else:
                 streak = 0
         l = int(ls[-1]) + 1
@@ -312,31 +305,30 @@ def pressure(
 
     ``integration_variable`` selects the transverse-momentum integration
     route: the scaled variable ``"u"`` (default, vectorized) or the raw
-    ``"kperp"`` (QUADPACK; slow, used as an independent cross-check).
+    ``"kperp"`` (QUADPACK; slow, an independent cross-check at T > 0 only).
     """
     settings = settings or EvaluationSettings()
     if not a > 0.0:
         raise ValueError("gap must be > 0")
+    if integration_variable not in ("u", "kperp"):
+        raise ValueError("integration_variable must be 'u' or 'kperp'")
     if settings.zero_temperature:
+        if integration_variable == "kperp":
+            raise ValueError("integration_variable 'kperp' has no zero-temperature route")
         return pressure_zero_temperature(plate, a, settings)
     stack = as_layer_stack(plate)
 
     if integration_variable == "u":
         def term_blocks(ls, scale_hint):
-            return _block_terms_scaled(stack, a, ls, settings.temperature,
-                                       settings.quad_rel_tol, scale_hint)
-    elif integration_variable == "kperp":
-        def term_blocks(ls, scale_hint):
-            te = np.empty(len(ls))
-            tm = np.empty(len(ls))
-            for i, li in enumerate(ls):
-                te[i:i + 1], tm[i:i + 1] = _kperp_term(
-                    stack, a, int(li), settings.temperature, settings.quad_rel_tol)
-            return te, tm
+            te, tm = _block_terms_scaled(stack, a, ls, settings.temperature,
+                                         settings.quad_rel_tol, scale_hint)
+            return te + tm
     else:
-        raise ValueError("integration_variable must be 'u' or 'kperp'")
+        def term_blocks(ls, scale_hint):
+            return np.concatenate([np.add(*_kperp_term(stack, a, int(li), settings.temperature,
+                                                       settings.quad_rel_tol)) for li in ls])
 
-    total, _, _ = _sum_terms(stack, a, settings, term_blocks)
+    total = _sum_terms(a, settings, term_blocks)
     return _pressure_prefactor(a, settings.temperature) * total
 
 
@@ -354,6 +346,8 @@ def matsubara_pressure_term(
     splits.
     """
     settings = settings or EvaluationSettings()
+    if not a > 0.0:
+        raise ValueError("gap must be > 0")
     if l < 0:
         raise ValueError("Matsubara index must be >= 0")
     te, tm = _block_terms_scaled(as_layer_stack(plate), a, [l], settings.temperature,

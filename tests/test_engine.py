@@ -261,3 +261,11 @@ def test_pressure_domain_errors(drude_stack, settings300):
         pressure_zero_temperature(drude_stack, -1e-6)
     with pytest.raises(ValueError):
         matsubara_pressure_term(drude_stack, 1e-6, -1, settings300)
+    for a in (0.0, -1e-7):
+        with pytest.raises(ValueError, match="gap must be > 0"):
+            matsubara_pressure_term(drude_stack, a, 1, settings300)
+    # there is no T = 0 route in the raw k variable
+    for variable in ("kperp", "bogus"):
+        with pytest.raises(ValueError, match="integration_variable"):
+            pressure(drude_stack, 1e-6, EvaluationSettings(zero_temperature=True),
+                     integration_variable=variable)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from lifshitz_plates import (
     matsubara_frequency,
     plate_reflection,
     plate_reflection_zero_frequency,
+    pressure,
 )
 
 from conftest import GOLD_GAMMA, GOLD_WP
@@ -205,6 +207,29 @@ def test_perfect_reflector_substrate(perfect_stack):
     assert plate_reflection(perfect_stack, "TE", point) == -1.0
     assert plate_reflection_zero_frequency(perfect_stack, "TM", 5e6) == 1.0
     assert plate_reflection_zero_frequency(perfect_stack, "TE", 5e6) == -1.0
+
+
+@pytest.mark.parametrize("stack_name", ["perfect_stack", "drude_stack"])
+@pytest.mark.parametrize("accessor", [
+    lambda stack, pol: fresnel(pol, 1.0, 2.0, 3e6, 4e6),
+    lambda stack, pol: plate_reflection(stack, pol, KinematicPoint(2.5e14, 5e6)),
+    lambda stack, pol: plate_reflection_zero_frequency(stack, pol, 5e6),
+], ids=["fresnel", "plate_reflection", "plate_reflection_zero_frequency"])
+def test_misspelt_polarization_rejected(request, stack_name, accessor):
+    stack = request.getfixturevalue(stack_name)
+    with pytest.raises(ValueError, match="polarization must be 'TE' or 'TM'"):
+        accessor(stack, "te")
+
+
+def test_ultra_thin_layer_zero_frequency(drude_stack, settings300):
+    # exp(-2 K h) rounds to 1 for this layer: the xi = 0 TM recursion meets
+    # +1 over -1 and must return the outer +1, not 0/0
+    thin = build_rough_plate(GOLD_WP, GOLD_GAMMA, 3.47e-25, 1.0 - 1.1e-10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert plate_reflection_zero_frequency(as_layer_stack(thin), "TM", 1e7) == 1.0
+        p_thin = pressure(thin, 200e-9, settings300)
+    assert p_thin == pytest.approx(pressure(drude_stack, 200e-9, settings300), rel=1e-12)
 
 
 def test_stack_construction_rules():
