@@ -8,10 +8,15 @@ integral over both polarizations:
 
 with q_l = sqrt(k^2 + xi_l^2/c^2).  The k integral is evaluated in the scaled
 variable u = 2 a q_l, where the integrand decays like u^2 exp(-u) uniformly
-in l, so every Matsubara term shares one panel layout and whole blocks of
-terms are integrated in single vectorized operations.  An independent
-integration route in the raw k variable (scipy QUADPACK) is kept as an
-internal cross-check.
+in l, so every Matsubara term at every gap shares one panel layout and each
+kernel call integrates up to ``_BLOCK`` (gap, xi) rows in single vectorized
+operations.  The terms fall like exp(-l x_1), x_1 = 2 a xi_1 / c, so each gap
+sums a first block sized from that decay rate, then blocks a quarter as long.
+All gaps of a sweep are summed together in waves: one wave integrates the
+current block of every unfinished gap, the xi = 0 rows of all gaps in one
+call, and then runs each gap's stopping rule.  An independent integration
+route in the raw k variable (scipy QUADPACK) runs through the same waves as
+an internal cross-check.
 
 Sign convention: the returned pressure is the positive magnitude of the
 attraction, so the reduction factor P / P_id matches the usual plots.
@@ -33,7 +38,9 @@ from .stack import LayerStack, _reflection, _static_reflection, as_layer_stack
 Plate = Union[RoughPlateSpec, LayerStack]
 
 _MAX_REFINEMENTS = 6
-_BLOCK = 64
+_BLOCK = 64           # rows per kernel call
+# a gap's first block holds this many times ln(1/sum_rel_tol)/x_1 terms
+_DECAY_SAFETY = 1.2
 
 # T = 0 rules, both ending on the default ladder from 1.5 to 60.  Outer, in
 # v = 2 a xi / c: panels graded geometrically towards v = 0, where the Drude TE
@@ -49,11 +56,12 @@ _T0_INNER_RULE = PanelRule.from_edges(
 class MatsubaraTruncationError(RuntimeError):
     """Raised when the Matsubara sum fails to converge within ``l_max`` terms."""
 
-    def __init__(self, partial_pressure: float, l_reached: int):
+    def __init__(self, partial_pressure: float, l_reached: int, a: float):
         self.partial_pressure = partial_pressure
         self.l_reached = l_reached
+        self.gap = a
         super().__init__(
-            f"Matsubara sum not converged after l = {l_reached} terms; "
+            f"Matsubara sum not converged after l = {l_reached} terms at gap a = {a:.6e} m; "
             f"partial pressure {partial_pressure:.9e} Pa"
         )
 
@@ -166,7 +174,7 @@ def gap_from_average(d: float, layer_thickness: float, fill_factor: float) -> fl
 
 
 # ----------------------------------------------------------------------
-# scaled-variable quadrature of one block of Matsubara terms
+# scaled-variable quadrature of Matsubara terms, in waves over the gaps
 
 def _panel_sums(U, rule: PanelRule, r):
     """Panel sums of u^2 g/(1-g), g = r^2 exp(-u), for both polarizations.
@@ -185,53 +193,94 @@ def _panel_sums(U, rule: PanelRule, r):
     return te, tm, np.abs(f @ rule.error_weights).sum(axis=0)
 
 
-def _pol_integrals(stack: LayerStack, a: float, xi: np.ndarray, rule: PanelRule):
-    """Integrals of u^2 g/(1-g) over u for each xi (>0) and polarization.
+def _pol_integrals(stack: LayerStack, a, xi: np.ndarray, rule: PanelRule):
+    """Integrals of u^2 g/(1-g) over u for each row (a, xi > 0) and polarization.
 
-    Returns (I_te, I_tm, err) arrays of shape (len(xi),).
+    ``a`` is the gap of each row, or one gap for all rows.  Returns (I_te,
+    I_tm, err) arrays of shape (len(xi),).
     """
-    u0 = (2.0 * a / CONSTANTS.c) * xi
-    U = u0[:, None] + rule.nodes[None, :]
-    K = np.sqrt(np.maximum(U * U - (u0 * u0)[:, None], 0.0)) / (2.0 * a)
+    a = np.reshape(a, (-1, 1))
+    u0 = (2.0 * a / CONSTANTS.c) * xi[:, None]
+    U = u0 + rule.nodes
+    K = np.sqrt(np.maximum(U * U - u0 * u0, 0.0)) / (2.0 * a)
     return _panel_sums(U, rule, _reflection(stack, xi[:, None], K))
 
 
-def _pol_integrals_zero(stack: LayerStack, a: float, rule: PanelRule):
-    """Same as :func:`_pol_integrals` for the xi = 0 term (analytic limits), as floats."""
-    # one row of nodes, so each polarization sums as a dot product of its own;
-    # a 2 x m matrix-vector product rounds differently in the last bit
+def _pol_integrals_zero(stack: LayerStack, a, rule: PanelRule):
+    """Same as :func:`_pol_integrals` for xi = 0 rows (analytic limits), one per gap in ``a``."""
     U = rule.nodes[None, :]
-    te, tm, err = _panel_sums(U, rule, _static_reflection(stack, U / (2.0 * a)))
-    return float(te[0]), float(tm[0]), float(err[0])
+    return _panel_sums(U, rule, _static_reflection(stack, U / (2.0 * np.reshape(a, (-1, 1)))))
+
+
+def _integrals(stack: LayerStack, a, xi: np.ndarray, rule: PanelRule) -> np.ndarray:
+    """[te, tm, err] of the rows (a, xi), at most ``_BLOCK`` rows per kernel call.
+
+    The xi = 0 rows go to :func:`_pol_integrals_zero`, the others to
+    :func:`_pol_integrals`; ``a`` is per row or one gap for all rows.
+    """
+    a = np.broadcast_to(a, xi.shape)
+    out = np.empty((3, len(xi)))
+    zero = xi == 0.0
+    for rows in (np.flatnonzero(zero), np.flatnonzero(~zero)):
+        for start in range(0, len(rows), _BLOCK):
+            i = rows[start:start + _BLOCK]
+            out[:, i] = (_pol_integrals_zero(stack, a[i], rule) if zero[i[0]]
+                         else _pol_integrals(stack, a[i], xi[i], rule))
+    return out
+
+
+def _wave_terms(stack, a, blocks, temperature, quad_rel_tol, hints):
+    """Pressure-sum integrands [te, tm] of one block of Matsubara indices per gap.
+
+    ``blocks[i]`` holds ascending indices for gap ``a[i]``; the rows of all
+    blocks share the kernel calls of :func:`_integrals`.  Block i is accepted
+    when its summed Kronrod-Gauss estimate is <= 0.25 ``quad_rel_tol``
+    max(|hints[i]|, |block sum|); only the blocks that miss it are integrated
+    again on a refined rule.  Returns per block its [te, tm] array, or the
+    :class:`QuadratureBudgetError` of a block still above its target after
+    ``_MAX_REFINEMENTS`` splits.
+    """
+    ls = np.concatenate(blocks)
+    edges = np.cumsum([0] + [len(b) for b in blocks])
+    row_a = np.repeat(a, np.diff(edges))
+    xi = matsubara_frequency(ls, temperature)
+    values = np.empty((3, len(ls)))
+    out = [None] * len(blocks)
+    todo = range(len(blocks))
+    rule = DEFAULT_RULE
+    for _ in range(_MAX_REFINEMENTS + 1):
+        rows = np.concatenate([np.arange(edges[i], edges[i + 1]) for i in todo])
+        values[:, rows] = _integrals(stack, row_a[rows], xi[rows], rule)
+        missed = {}
+        for i in todo:
+            te, tm, err = values[:, edges[i]:edges[i + 1]]
+            scale = max(abs(hints[i]), abs(float(np.sum(te) + np.sum(tm))))
+            target = 0.25 * quad_rel_tol * scale
+            err_total = float(np.sum(err))
+            if err_total <= target or scale == 0.0:
+                out[i] = values[:2, edges[i]:edges[i + 1]]
+            else:
+                missed[i] = err_total, target
+        if not missed:
+            return out
+        todo = list(missed)
+        rule = rule.refined()
+    for i, (err_total, target) in missed.items():
+        ends = blocks[i][[0, -1]]
+        xi_lo, xi_hi = matsubara_frequency(ends, temperature)
+        out[i] = QuadratureBudgetError(
+            float(a[i]), f"Matsubara block l = {ends[0]}..{ends[1]} "
+            f"(xi = {xi_lo:.6e}..{xi_hi:.6e} rad/s)", err_total, target)
+    return out
 
 
 def _block_terms_scaled(stack, a, ls, temperature, quad_rel_tol, scale_hint):
-    """Pressure-sum integrands for Matsubara indices ``ls`` with panel refinement.
-
-    The l = 0 term, when ``ls`` starts with it, goes to the analytic limits.
-    """
-    zero = ls[0] == 0
-    xi = matsubara_frequency(ls[1:] if zero else ls, temperature)
-    rule = DEFAULT_RULE
-    for _ in range(_MAX_REFINEMENTS + 1):
-        # a lone l = 0 term has no positive frequencies to integrate
-        te, tm, err = _pol_integrals(stack, a, xi, rule) if len(xi) else ((), (), 0.0)
-        err_total = float(np.sum(err))
-        if zero:
-            te0, tm0, err0 = _pol_integrals_zero(stack, a, rule)
-            te = np.concatenate([[te0], te])
-            tm = np.concatenate([[tm0], tm])
-            err_total += err0
-        block_sum = float(np.sum(te) + np.sum(tm))
-        scale = max(abs(scale_hint), abs(block_sum))
-        target = 0.25 * quad_rel_tol * scale
-        if err_total <= target or scale == 0.0:
-            return te, tm
-        rule = rule.refined()
-    xi = matsubara_frequency(np.array([ls[0], ls[-1]]), temperature)
-    raise QuadratureBudgetError(
-        a, f"Matsubara block l = {ls[0]}..{ls[-1]} (xi = {xi[0]:.6e}..{xi[1]:.6e} rad/s)",
-        err_total, target)
+    """[te, tm] for Matsubara indices ``ls`` at one gap: a one-block wave."""
+    (terms,) = _wave_terms(stack, np.array([a], dtype=float), [np.asarray(ls)], temperature,
+                           quad_rel_tol, [scale_hint])
+    if isinstance(terms, QuadratureBudgetError):
+        raise terms
+    return terms
 
 
 def _kperp_term(stack, a, l, temperature, quad_rel_tol):
@@ -261,32 +310,67 @@ def _kperp_term(stack, a, l, temperature, quad_rel_tol):
     return np.array([out[0]]), np.array([out[1]])
 
 
-def _sum_terms(a, settings: EvaluationSettings, term_blocks) -> float:
-    """Run the primed Matsubara sum with the truncation policy.
+def _finite_t_pressures(stack, a: np.ndarray, settings: EvaluationSettings,
+                        integration_variable: str = "u") -> np.ndarray:
+    """Pressures at the ascending gaps ``a``, every primed Matsubara sum run in the same waves.
 
-    ``term_blocks(ls, scale_hint)`` returns the integrands te + tm for the
-    requested indices; the l = 0 term enters with weight one half.
+    Gap i starts with a block of min(l_max + 1, ceil(_DECAY_SAFETY
+    ln(1/sum_rel_tol) / x_1) + 2 consecutive_small_terms + 2) terms, with
+    x_1 = 2 a_i xi_1 / c the decay rate of its terms; each later block is
+    max(8, previous // 4) terms.  A wave integrates the current block of
+    every unfinished gap together, then runs each gap's stopping rule: after
+    l = 0 (weight one half), ``consecutive_small_terms`` terms in a row each
+    below ``sum_rel_tol`` times the running sum.  When gaps fail, the error of
+    the smallest failing gap is raised and the gaps above it are dropped.
     """
-    total = 0.0
-    streak = 0
-    l = 0
-    while l <= settings.l_max:
-        ls = np.arange(l, min(l + _BLOCK, settings.l_max + 1))
-        for li, term in zip(ls, term_blocks(ls, total)):
-            term = float(term)
-            if li == 0:
-                total += 0.5 * term
+    temperature, tol = settings.temperature, settings.quad_rel_tol
+    if integration_variable == "u":
+        def wave(gaps, blocks, hints):
+            return _wave_terms(stack, a[gaps], blocks, temperature, tol, hints)
+    else:
+        def wave(gaps, blocks, hints):
+            # one QUADPACK integral per row and polarization
+            return [np.hstack([_kperp_term(stack, float(a[i]), int(l), temperature, tol)
+                               for l in ls]) for i, ls in zip(gaps, blocks)]
+
+    l_max, need = settings.l_max, settings.consecutive_small_terms
+    x1 = (2.0 * matsubara_frequency(1, temperature) / CONSTANTS.c) * a
+    size = np.minimum(l_max + 1, np.ceil(_DECAY_SAFETY * math.log(1.0 / settings.sum_rel_tol) / x1)
+                      + 2 * need + 2).astype(int).tolist()
+    start = [0] * len(a)
+    total = [0.0] * len(a)
+    streak = [0] * len(a)
+    failures = {}
+    active = list(range(len(a)))
+    while active:
+        blocks = [np.arange(start[i], min(start[i] + size[i], l_max + 1)) for i in active]
+        unfinished = []
+        for i, ls, terms in zip(active, blocks, wave(active, blocks, [total[i] for i in active])):
+            if isinstance(terms, Exception):
+                failures[i] = terms
                 continue
-            total += term
-            if abs(term) < settings.sum_rel_tol * abs(total):
-                streak += 1
-                if streak >= settings.consecutive_small_terms:
-                    return total
-            else:
-                streak = 0
-        l = int(ls[-1]) + 1
-    prefactor = _pressure_prefactor(a, settings.temperature)
-    raise MatsubaraTruncationError(prefactor * total, settings.l_max)
+            for li, term in zip(ls.tolist(), (terms[0] + terms[1]).tolist()):
+                if li == 0:
+                    total[i] += 0.5 * term
+                    continue
+                total[i] += term
+                small = abs(term) < settings.sum_rel_tol * abs(total[i])
+                streak[i] = streak[i] + 1 if small else 0
+                if streak[i] >= need:
+                    break
+            if streak[i] >= need:
+                continue
+            if ls[-1] >= l_max:
+                failures[i] = MatsubaraTruncationError(
+                    _pressure_prefactor(float(a[i]), temperature) * total[i], l_max, float(a[i]))
+                continue
+            start[i] = int(ls[-1]) + 1
+            size[i] = max(8, size[i] // 4)
+            unfinished.append(i)
+        active = [i for i in unfinished if i < min(failures, default=len(a))]
+    if failures:
+        raise failures[min(failures)]
+    return np.array([_pressure_prefactor(float(ai), temperature) * t for ai, t in zip(a, total)])
 
 
 def _pressure_prefactor(a: float, temperature: float) -> float:
@@ -316,20 +400,9 @@ def pressure(
         if integration_variable == "kperp":
             raise ValueError("integration_variable 'kperp' has no zero-temperature route")
         return pressure_zero_temperature(plate, a, settings)
-    stack = as_layer_stack(plate)
-
-    if integration_variable == "u":
-        def term_blocks(ls, scale_hint):
-            te, tm = _block_terms_scaled(stack, a, ls, settings.temperature,
-                                         settings.quad_rel_tol, scale_hint)
-            return te + tm
-    else:
-        def term_blocks(ls, scale_hint):
-            return np.concatenate([np.add(*_kperp_term(stack, a, int(li), settings.temperature,
-                                                       settings.quad_rel_tol)) for li in ls])
-
-    total = _sum_terms(a, settings, term_blocks)
-    return _pressure_prefactor(a, settings.temperature) * total
+    pressures = _finite_t_pressures(as_layer_stack(plate), np.array([a], dtype=float), settings,
+                                    integration_variable)
+    return float(pressures[0])
 
 
 def matsubara_pressure_term(
@@ -367,11 +440,8 @@ def _t0_integrand(stack: LayerStack, a: float, v: np.ndarray, quad_rel_tol: floa
     todo = np.arange(len(v))
     rule = _T0_INNER_RULE
     for _ in range(_MAX_REFINEMENTS + 1):
-        err = np.empty(len(todo))
-        for start in range(0, len(todo), _BLOCK):
-            idx = todo[start:start + _BLOCK]
-            te, tm, err[start:start + _BLOCK] = _pol_integrals(stack, a, xi[idx], rule)
-            values[idx] = te + tm
+        te, tm, err = _integrals(stack, a, xi[todo], rule)
+        values[todo] = te + tm
         target = 0.25 * quad_rel_tol * np.abs(values[todo])
         missed = (err > target) & (values[todo] != 0.0)
         if not missed.any():
@@ -430,21 +500,27 @@ def eta_sweep(
     """Reduction factor eta = P/P_id over a grid of average separations.
 
     For a rough plate the gap is a = d - 2 h (1 - f); homogeneous plates have
-    a = d.  Rows are emitted in ascending d.
+    a = d.  Rows are emitted in ascending d.  At T > 0 the Matsubara sums of
+    all gaps run together in waves: each wave integrates the current block of
+    every unfinished gap (each gap's blocks sized from its decay rate), at
+    most ``_BLOCK`` rows per kernel call and the xi = 0 rows of all gaps in
+    one call.  Each row equals :func:`pressure` at its gap up to the last-bit
+    rounding of the batched products.  When several gaps fail, the error of
+    the smallest d is raised.
     """
     settings = settings or EvaluationSettings()
     d_sorted = np.sort(np.asarray(d_values, dtype=float))
     h, f = _plate_offsets(plate)
     a_col = np.empty_like(d_sorted)
-    p_col = np.empty_like(d_sorted)
     pid_col = np.empty_like(d_sorted)
     for i, d in enumerate(d_sorted):
         a_col[i] = gap_from_average(d, h, f)
-        try:
-            p_col[i] = pressure(plate, a_col[i], settings)
-        except ValueError as exc:
-            raise ValueError(f"at average separation d = {d:.6e} m: {exc}") from exc
         pid_col[i] = ideal_pressure(d)
+    stack = as_layer_stack(plate)
+    if settings.zero_temperature:
+        p_col = np.array([pressure_zero_temperature(stack, a, settings) for a in a_col])
+    else:
+        p_col = _finite_t_pressures(stack, a_col, settings)
     eta_col = p_col / pid_col
     return SweepTable(d=d_sorted, a=a_col, pressure=p_col,
                       pressure_ideal=pid_col, eta=eta_col)

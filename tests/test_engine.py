@@ -22,6 +22,7 @@ from lifshitz_plates import (
     pressure_zero_temperature,
     reduction_factor,
 )
+from lifshitz_plates import engine
 
 from conftest import GOLD_GAMMA, GOLD_WP
 
@@ -159,10 +160,21 @@ def test_matsubara_budget_robustness(drude_stack, settings300):
 
 def test_truncation_error_carries_partial_sum(drude_stack):
     settings = EvaluationSettings(temperature=300.0, l_max=1)
-    with pytest.raises(MatsubaraTruncationError) as info:
+    with pytest.raises(MatsubaraTruncationError, match=r"a = 2\.000000e-07 m") as info:
         pressure(drude_stack, 200e-9, settings)
     assert info.value.l_reached == 1
+    assert info.value.gap == 200e-9
     assert 0.0 < info.value.partial_pressure < 1.0
+    # 200 nm and 300 nm need more than 30 terms, 1 um fewer: the sweep raises
+    # the error of the smallest failing gap, as pressure() at that gap does
+    settings = EvaluationSettings(temperature=300.0, l_max=30)
+    with pytest.raises(MatsubaraTruncationError) as single:
+        pressure(drude_stack, 200e-9, settings)
+    with pytest.raises(MatsubaraTruncationError, match=r"a = 2\.000000e-07 m") as info:
+        eta_sweep(drude_stack, [1e-6, 300e-9, 200e-9], settings)
+    assert info.value.gap == 200e-9
+    assert info.value.l_reached == 30
+    assert info.value.partial_pressure == pytest.approx(single.value.partial_pressure, rel=1e-15)
 
 
 def test_settings_validation():
@@ -269,3 +281,73 @@ def test_pressure_domain_errors(drude_stack, settings300):
         with pytest.raises(ValueError, match="integration_variable"):
             pressure(drude_stack, 1e-6, EvaluationSettings(zero_temperature=True),
                      integration_variable=variable)
+
+
+SWEEP_GRID = np.geomspace(0.1e-6, 5e-6, 12)
+
+
+def _kernel_levels(monkeypatch):
+    """Record, per ``engine._integrals`` call, its rows' gaps and the rule's node count."""
+    seen = []
+    original = engine._integrals
+
+    def recording(stack, a, xi, rule):
+        seen.append((set(np.broadcast_to(a, xi.shape).tolist()), len(rule.nodes)))
+        return original(stack, a, xi, rule)
+
+    monkeypatch.setattr(engine, "_integrals", recording)
+    return seen
+
+
+@pytest.mark.parametrize("quad_rel_tol", [1e-9, 5e-10, 1e-12])
+@pytest.mark.parametrize("plate_name", ["perfect_stack", "drude_stack", "rough_plate"])
+def test_eta_sweep_rows_match_single_gap_pressure(plate_name, quad_rel_tol, request,
+                                                  monkeypatch):
+    """The sweep's waves give every row the pressure() value at its gap, to
+    the last-bit rounding of the batched products; at 5e-10 only some of this
+    grid's gaps refine their first block."""
+    plate = request.getfixturevalue(plate_name)
+    settings = EvaluationSettings(temperature=300.0, quad_rel_tol=quad_rel_tol)
+    seen = _kernel_levels(monkeypatch)
+    table = eta_sweep(plate, SWEEP_GRID, settings)
+    if quad_rel_tol == 5e-10:
+        refined = set().union(*(gaps for gaps, nodes in seen
+                                if nodes > len(engine.DEFAULT_RULE.nodes)))
+        assert 0 < len(refined) < len(SWEEP_GRID)
+    single = np.array([pressure(plate, a, settings) for a in table.a])
+    assert np.all(np.abs(table.pressure - single) <= 1e-15 * single)
+
+
+def test_eta_sweep_later_waves_match_single_gap_pressure(monkeypatch, rough_plate, settings300):
+    """A tenth of the decay-rate block size forces the gaps through several waves."""
+    reference = eta_sweep(rough_plate, SWEEP_GRID, settings300)
+    waves = []
+    original = engine._wave_terms
+
+    def counted(stack, a, blocks, *args):
+        waves.append(len(blocks))
+        return original(stack, a, blocks, *args)
+
+    monkeypatch.setattr(engine, "_DECAY_SAFETY", 0.12)
+    monkeypatch.setattr(engine, "_wave_terms", counted)
+    table = eta_sweep(rough_plate, SWEEP_GRID, settings300)
+    assert len(waves) >= 3 and waves[1] > 1
+    single = np.array([pressure(rough_plate, a, settings300) for a in table.a])
+    assert np.all(np.abs(table.pressure - single) <= 1e-15 * single)
+    assert np.all(np.abs(table.pressure - reference.pressure) <= 1e-15 * reference.pressure)
+
+
+def test_sweep_kernel_call_counts(monkeypatch, rough_plate, settings300):
+    """A 30-point 300 K rough-plate sweep shares its kernel calls between gaps."""
+    calls = {"_reflection": 0, "_static_reflection": 0}
+    for name in calls:
+        original = getattr(engine, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(engine, name, counted)
+    eta_sweep(rough_plate, np.linspace(162e-9, 746e-9, 30), settings300)
+    assert calls["_reflection"] <= 26
+    assert calls["_static_reflection"] == 1
