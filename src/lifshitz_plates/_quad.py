@@ -66,15 +66,17 @@ def _split_edges(edges: np.ndarray) -> np.ndarray:
 class PanelRule:
     """Kronrod nodes/weights for a fixed ladder of panel offsets.
 
-    ``nodes`` are offsets from the lower limit, flattened across panels;
-    integrating f over [lo, lo + edges[-1]] is ``f(lo + nodes) @ weights``
-    and the embedded error estimate is ``|f(lo + nodes) @ error_weights|``.
+    ``nodes`` are offsets from the lower limit, flattened across panels.
+    ``weights`` has two columns, so one product ``f(lo + nodes) @ weights``
+    gives the integral of f over [lo, lo + edges[-1]] and the signed
+    Kronrod-Gauss difference, whose magnitude is the error estimate.
+    ``decay`` is exp(-nodes).
     """
 
     edges: np.ndarray
     nodes: np.ndarray
     weights: np.ndarray
-    error_weights: np.ndarray
+    decay: np.ndarray
 
     @classmethod
     def from_edges(cls, edges: np.ndarray) -> "PanelRule":
@@ -83,7 +85,8 @@ class PanelRule:
         nodes = (center[:, None] + half[:, None] * _NODES[None, :]).ravel()
         weights = (half[:, None] * _KRONROD_W[None, :]).ravel()
         gauss = (half[:, None] * _GAUSS_W[None, :]).ravel()
-        return cls(edges=edges, nodes=nodes, weights=weights, error_weights=weights - gauss)
+        return cls(edges=edges, nodes=nodes, weights=np.column_stack([weights, weights - gauss]),
+                   decay=np.exp(-nodes))
 
     def refined(self) -> "PanelRule":
         """Rule with every panel split in half."""

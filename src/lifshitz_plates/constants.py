@@ -6,14 +6,18 @@ converted exactly once, at the configuration boundary, via :func:`ev_to_angular_
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-
-import scipy.constants
 
 
 @dataclass(frozen=True)
 class PhysicalConstants:
-    """CODATA constants used by the pressure engine (single source of truth)."""
+    """CODATA constants used by the pressure engine (single source of truth).
+
+    h, c, k_B and e are exact in the 2019 SI; hbar = h / (2 pi) is formed as
+    ``scipy.constants`` forms it, so the values match it bit for bit without
+    its import cost (about 20 MB and 0.06 s).
+    """
 
     hbar: float  # J s
     c: float     # m/s
@@ -21,13 +25,13 @@ class PhysicalConstants:
 
 
 CONSTANTS = PhysicalConstants(
-    hbar=scipy.constants.hbar,
-    c=scipy.constants.c,
-    k_B=scipy.constants.k,
+    hbar=6.62607015e-34 / (2.0 * math.pi),
+    c=299792458.0,
+    k_B=1.380649e-23,
 )
 
 # J per eV; used only by the unit-conversion helpers below.
-_EV = scipy.constants.e
+_EV = 1.602176634e-19
 
 
 def ev_to_angular_frequency(energy_ev: float) -> float:

@@ -24,6 +24,7 @@ attraction, so the reduction factor P / P_id matches the usual plots.
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence, Union
@@ -36,6 +37,31 @@ from .materials import RoughPlateSpec
 from .stack import LayerStack, _reflection, _static_reflection, as_layer_stack
 
 Plate = Union[RoughPlateSpec, LayerStack]
+
+
+def _pin_malloc_thresholds() -> None:
+    """Fix glibc's mmap and trim thresholds at 16 and 32 MB for this process.
+
+    Each kernel call allocates and frees a few MB of (rows, nodes)
+    temporaries.  Under glibc's sliding default thresholds a process returns
+    part of that memory to the OS after a call and page-faults it back in on
+    the next (200-500 minor faults per T = 0 pressure), and how much depends
+    on where long-lived objects happen to lie in the heap, so the time of one
+    T = 0 pressure differed by up to 30 % from one process to the next.
+    With fixed thresholds the freed temporaries stay in the heap for the next
+    call; the price is up to 32 MB of freed heap kept from the OS.  A no-op
+    where the C library has no ``mallopt``.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-3, 16 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 32 << 20)  # M_TRIM_THRESHOLD
+
+
+_pin_malloc_thresholds()
 
 _MAX_REFINEMENTS = 6
 _BLOCK = 64           # rows per kernel call
@@ -100,6 +126,8 @@ class EvaluationSettings:
             raise ValueError("consecutive_small_terms must be >= 1")
         if self.l_max < 1:
             raise ValueError("l_max must be >= 1")
+        if not math.isfinite(self.temperature):
+            raise ValueError(f"temperature must be finite, got {self.temperature}")
         if not self.zero_temperature and not self.temperature > 0.0:
             raise ValueError("temperature must be > 0 unless zero_temperature is set")
 
@@ -176,40 +204,41 @@ def gap_from_average(d: float, layer_thickness: float, fill_factor: float) -> fl
 # ----------------------------------------------------------------------
 # scaled-variable quadrature of Matsubara terms, in waves over the gaps
 
-def _panel_sums(U, rule: PanelRule, r):
+def _panel_sums(U, u0, rule: PanelRule, r):
     """Panel sums of u^2 g/(1-g), g = r^2 exp(-u), for both polarizations.
 
-    ``r`` is the reflection coefficient at the nodes ``U`` with a leading
-    [TE, TM] axis.  Returns (I_te, I_tm, err); err is the Kronrod-Gauss error
-    estimate summed over both polarizations.
+    ``r`` is the reflection coefficient at the nodes ``U`` = ``u0`` +
+    ``rule.nodes`` with a leading [TE, TM] axis.  Returns (I_te, I_tm, err);
+    err is the Kronrod-Gauss error estimate summed over both polarizations.
     """
     # in place: one (2, rows, nodes) temporary fewer per step keeps the T = 0
     # blocks from trimming and regrowing the heap on every call
     g = r * r
-    g *= np.exp(-U)
+    g *= np.exp(-u0) * rule.decay
     f = U * U * g
     f /= 1.0 - g
-    te, tm = f @ rule.weights
-    return te, tm, np.abs(f @ rule.error_weights).sum(axis=0)
+    sums = f @ rule.weights
+    return sums[0, :, 0], sums[1, :, 0], np.abs(sums[..., 1]).sum(axis=0)
 
 
 def _pol_integrals(stack: LayerStack, a, xi: np.ndarray, rule: PanelRule):
     """Integrals of u^2 g/(1-g) over u for each row (a, xi > 0) and polarization.
 
-    ``a`` is the gap of each row, or one gap for all rows.  Returns (I_te,
+    ``a`` is the gap of each row, or one gap for all rows.  The nodes u = 2 a q
+    reach the stack layer as the vacuum axial wavenumber q.  Returns (I_te,
     I_tm, err) arrays of shape (len(xi),).
     """
     a = np.reshape(a, (-1, 1))
     u0 = (2.0 * a / CONSTANTS.c) * xi[:, None]
     U = u0 + rule.nodes
-    K = np.sqrt(np.maximum(U * U - u0 * u0, 0.0)) / (2.0 * a)
-    return _panel_sums(U, rule, _reflection(stack, xi[:, None], K))
+    return _panel_sums(U, u0, rule, _reflection(stack, xi[:, None], U / (2.0 * a)))
 
 
 def _pol_integrals_zero(stack: LayerStack, a, rule: PanelRule):
     """Same as :func:`_pol_integrals` for xi = 0 rows (analytic limits), one per gap in ``a``."""
     U = rule.nodes[None, :]
-    return _panel_sums(U, rule, _static_reflection(stack, U / (2.0 * np.reshape(a, (-1, 1)))))
+    return _panel_sums(U, 0.0, rule,
+                       _static_reflection(stack, U / (2.0 * np.reshape(a, (-1, 1)))))
 
 
 def _integrals(stack: LayerStack, a, xi: np.ndarray, rule: PanelRule) -> np.ndarray:
@@ -298,7 +327,7 @@ def _kperp_term(stack, a, l, temperature, quad_rel_tol):
             # t = 2 a k restores an O(1) decay scale for QUADPACK
             k = 0.5 * t / a
             q = math.sqrt(k * k + (xi / CONSTANTS.c) ** 2)
-            r = (_static_reflection(stack, k) if l == 0 else _reflection(stack, xi, k))[pol]
+            r = (_static_reflection(stack, k) if l == 0 else _reflection(stack, xi, q))[pol]
             arg = 2.0 * a * q
             g = float(r) ** 2 * (math.exp(-arg) if arg < 700.0 else 0.0)
             return k * q * g / (1.0 - g)
@@ -373,6 +402,11 @@ def _finite_t_pressures(stack, a: np.ndarray, settings: EvaluationSettings,
     return np.array([_pressure_prefactor(float(ai), temperature) * t for ai, t in zip(a, total)])
 
 
+def _check_gap(a: float) -> None:
+    if not 0.0 < a < math.inf:
+        raise ValueError(f"gap must be > 0 and finite, got a = {a} m")
+
+
 def _pressure_prefactor(a: float, temperature: float) -> float:
     # k_B T / pi restated for the u = 2 a q variable: one factor 1/(8 a^3)
     return CONSTANTS.k_B * temperature / (8.0 * math.pi * a**3)
@@ -392,8 +426,7 @@ def pressure(
     ``"kperp"`` (QUADPACK; slow, an independent cross-check at T > 0 only).
     """
     settings = settings or EvaluationSettings()
-    if not a > 0.0:
-        raise ValueError("gap must be > 0")
+    _check_gap(a)
     if integration_variable not in ("u", "kperp"):
         raise ValueError("integration_variable must be 'u' or 'kperp'")
     if settings.zero_temperature:
@@ -419,8 +452,7 @@ def matsubara_pressure_term(
     splits.
     """
     settings = settings or EvaluationSettings()
-    if not a > 0.0:
-        raise ValueError("gap must be > 0")
+    _check_gap(a)
     if l < 0:
         raise ValueError("Matsubara index must be >= 0")
     te, tm = _block_terms_scaled(as_layer_stack(plate), a, [l], settings.temperature,
@@ -471,15 +503,14 @@ def pressure_zero_temperature(
     when either check still fails after ``_MAX_REFINEMENTS`` splits.
     """
     settings = settings or EvaluationSettings()
-    if not a > 0.0:
-        raise ValueError("gap must be > 0")
+    _check_gap(a)
     stack = as_layer_stack(plate)
     tol = settings.quad_rel_tol
     rule = _T0_OUTER_RULE
     for _ in range(_MAX_REFINEMENTS + 1):
         f = _t0_integrand(stack, a, rule.nodes, tol)
-        val = float(f @ rule.weights)
-        err = abs(float(f @ rule.error_weights))
+        val, err = (f @ rule.weights).tolist()
+        err = abs(err)
         if err <= tol * abs(val) or val == 0.0:
             return CONSTANTS.hbar * CONSTANTS.c / (32.0 * math.pi**2 * a**4) * val
         rule = rule.refined()
@@ -506,10 +537,18 @@ def eta_sweep(
     most ``_BLOCK`` rows per kernel call and the xi = 0 rows of all gaps in
     one call.  Each row equals :func:`pressure` at its gap up to the last-bit
     rounding of the batched products.  When several gaps fail, the error of
-    the smallest d is raised.
+    the smallest d is raised.  A non-finite or repeated d raises
+    ``ValueError`` before any pressure is computed.
     """
     settings = settings or EvaluationSettings()
     d_sorted = np.sort(np.asarray(d_values, dtype=float))
+    bad = d_sorted[~np.isfinite(d_sorted)]
+    if len(bad):
+        raise ValueError(f"separations must be finite, got d = {bad[0]}")
+    repeated = d_sorted[1:][np.diff(d_sorted) == 0.0]
+    if len(repeated):
+        raise ValueError(f"separations must be distinct; d = {repeated[0]:.6e} m "
+                         "appears more than once")
     h, f = _plate_offsets(plate)
     a_col = np.empty_like(d_sorted)
     pid_col = np.empty_like(d_sorted)

@@ -2,10 +2,13 @@
 
 A plate is vacuum | (optional finite layers) | substrate half-space.  For
 ``xi > 0`` the coefficients follow from the Fresnel formulas combined
-right-to-left through the layers.  The ``xi = 0`` point runs the same
-recursion on model-aware analytic limits of each interface, because the
-conductor permittivities diverge there (Drude like 1/xi, plasma like 1/xi^2)
-and a naive evaluation produces 0 * inf forms.  One pass gives both
+right-to-left through the layers.  On that path the stack layer takes the
+vacuum axial wavenumber q = sqrt(k_perp^2 + xi^2/c^2) rather than k_perp:
+vacuum then has s = q, and every other medium s_j = sqrt(q^2 + (eps_j - 1)
+xi^2/c^2).  The ``xi = 0`` point runs the same recursion on model-aware
+analytic limits of each interface, because the conductor permittivities
+diverge there (Drude like 1/xi, plasma like 1/xi^2) and a naive evaluation
+produces 0 * inf forms.  One pass gives both
 polarizations: the internal coefficients carry a leading axis [TE, TM].
 
 Sign convention (fixed for testability; only r^2 is observable in the
@@ -33,9 +36,6 @@ from .materials import (
 )
 
 Polarization = Literal["TE", "TM"]
-
-# exp(-2 h s) below this argument underflows to an exact zero
-_EXP_UNDERFLOW = 700.0
 
 
 @dataclass(frozen=True)
@@ -109,9 +109,17 @@ def _pol_index(polarization: Polarization) -> int:
 
 def _fresnel_pair(eps_i: ArrayLike, eps_j: ArrayLike, s_i: ArrayLike, s_j: ArrayLike) -> np.ndarray:
     """[TE, TM] single-interface reflection coefficients from medium i onto medium j."""
-    te = (s_i - s_j) / (s_i + s_j)
-    tm = (eps_j * s_i - eps_i * s_j) / (eps_j * s_i + eps_i * s_j)
-    return np.stack(np.broadcast_arrays(te, tm))
+    # written in place: at most two full-size temporaries besides the result
+    r = np.empty((2,) + np.broadcast_shapes(*map(np.shape, (eps_i, eps_j, s_i, s_j))))
+    te, tm = r[0, ...], r[1, ...]
+    np.subtract(s_i, s_j, out=te)
+    te /= s_i + s_j
+    np.multiply(eps_j, s_i, out=tm)
+    eps_s = eps_i * s_j
+    den = tm + eps_s
+    tm -= eps_s
+    tm /= den
+    return r
 
 
 def fresnel(
@@ -125,19 +133,18 @@ def fresnel(
     return _fresnel_pair(eps_i, eps_j, s_i, s_j)[_pol_index(polarization)]
 
 
-def _decayed(exponent: np.ndarray) -> np.ndarray:
-    """exp(-exponent) with large arguments flushed to an exact zero."""
-    exponent = np.asarray(exponent)
-    safe = np.minimum(exponent, _EXP_UNDERFLOW)
-    return np.where(exponent > _EXP_UNDERFLOW, 0.0, np.exp(-safe))
-
-
 def _combine(r_outer: np.ndarray, r_inner: np.ndarray, phase: ArrayLike) -> np.ndarray:
     # the denominator vanishes only for r_o = -r_i = +-1 and a phase rounded to
     # 1 (an ultra-thin layer at xi = 0), where the value is r_o as for any phase < 1
-    num = r_outer + r_inner * phase
-    den = 1.0 + r_outer * r_inner * phase
-    return np.divide(num, den, out=np.broadcast_to(r_outer, num.shape).copy(), where=den != 0.0)
+    r = r_inner * phase
+    den = r_outer * r
+    den += 1.0
+    r += r_outer
+    zero = den == 0.0
+    if zero.any():
+        r[zero], den[zero] = np.broadcast_to(r_outer, r.shape)[zero], 1.0
+    r /= den
+    return r
 
 
 def _media(stack: LayerStack) -> list[DielectricModel]:
@@ -160,16 +167,25 @@ def _recurse(stack: LayerStack, s: list[ArrayLike], interface) -> np.ndarray:
     else:
         r = interface(len(s) - 2, len(s) - 1)
     for j in range(len(stack.layers), 0, -1):
-        r = _combine(interface(j - 1, j), r, _decayed(2.0 * stack.layers[j - 1][1] * s[j]))
+        # exp underflows to an exact 0, without a warning, for thick layers
+        phase = np.exp(s[j] * (-2.0 * stack.layers[j - 1][1]))
+        r = _combine(interface(j - 1, j), r, phase)
     return r
 
 
-def _reflection(stack: LayerStack, xi: ArrayLike, k_perp: ArrayLike) -> np.ndarray:
-    """Plate reflection coefficients [TE, TM] for xi > 0 (vectorized, broadcasting)."""
+def _reflection(stack: LayerStack, xi: ArrayLike, q: ArrayLike) -> np.ndarray:
+    """Plate reflection coefficients [TE, TM] for xi > 0 (vectorized, broadcasting).
+
+    ``q`` = sqrt(k_perp^2 + xi^2/c^2) >= xi/c is the axial wavenumber in the
+    vacuum gap; medium j has s_j = sqrt(q^2 + (eps_j - 1) xi^2/c^2).
+    """
     xi = np.asarray(xi, dtype=float)
-    k_perp = np.asarray(k_perp, dtype=float)
-    eps = [permittivity_imag_axis(m, xi) for m in _media(stack)]
-    s = [axial_wavenumber(e, xi, k_perp) for e in eps]
+    q = np.asarray(q, dtype=float)
+    eps = [1.0] + [permittivity_imag_axis(m, xi) for m in _media(stack)[1:]]
+    s = [q]
+    if len(eps) > 1:  # a bare perfect mirror needs no arithmetic on q
+        q2, w2 = q * q, (xi / CONSTANTS.c) ** 2
+        s += [np.sqrt(q2 + (e - 1.0) * w2) for e in eps[1:]]
     return _recurse(stack, s, lambda i, j: _fresnel_pair(eps[i], eps[j], s[i], s[j]))
 
 
@@ -180,7 +196,8 @@ def plate_reflection(
     pol = _pol_index(polarization)
     if not point.xi > 0.0:
         raise ValueError("xi must be > 0 here; use plate_reflection_zero_frequency at xi = 0")
-    return float(_reflection(stack, point.xi, point.k_perp)[pol])
+    q = axial_wavenumber(1.0, point.xi, point.k_perp)
+    return float(_reflection(stack, point.xi, q)[pol])
 
 
 def _static_reflection(stack: LayerStack, k_perp: ArrayLike) -> np.ndarray:
@@ -189,7 +206,7 @@ def _static_reflection(stack: LayerStack, k_perp: ArrayLike) -> np.ndarray:
     limits = [static_limit(m) for m in _media(stack)]
     # eps xi^2 survives the limit only for 1/xi^2 divergences (plasma-like)
     s = [
-        axial_wavenumber(1.0, 0.0, k_perp) if order < 2
+        k_perp if order < 2
         else np.sqrt(k_perp**2 + amplitude / CONSTANTS.c**2)
         for order, amplitude in limits
     ]

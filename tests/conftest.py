@@ -1,3 +1,4 @@
+import hypothesis
 import numpy as np
 import pytest
 
@@ -13,6 +14,10 @@ from lifshitz_plates import (
     eta_sweep,
     ev_to_angular_frequency,
 )
+
+# property tests replay the same examples on every run, with no timing limit
+hypothesis.settings.register_profile("derandomized", derandomize=True, deadline=None)
+hypothesis.settings.load_profile("derandomized")
 
 # gold parameters used throughout: h_bar Omega_P = 8.9 eV, h_bar gamma = 0.0357 eV
 GOLD_WP = ev_to_angular_frequency(8.9)

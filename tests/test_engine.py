@@ -1,4 +1,6 @@
 import math
+import platform
+import resource
 
 import numpy as np
 import pytest
@@ -6,23 +8,35 @@ from scipy.special import zeta
 
 from lifshitz_plates import (
     CONSTANTS,
+    Composite,
     EvaluationSettings,
+    KinematicPoint,
     LayerStack,
     MatsubaraTruncationError,
+    OscillatorSum,
+    PerfectReflector,
     Plasma,
     SweepTable,
+    Vacuum,
+    as_layer_stack,
     average_separation,
+    axial_wavenumber,
     build_rough_plate,
     eta_sweep,
+    ev_to_angular_frequency,
+    fresnel,
     gap_from_average,
     ideal_pressure,
     matsubara_frequency,
     matsubara_pressure_term,
+    permittivity_imag_axis,
+    plate_reflection,
     pressure,
     pressure_zero_temperature,
     reduction_factor,
 )
 from lifshitz_plates import engine
+from lifshitz_plates.stack import _reflection
 
 from conftest import GOLD_GAMMA, GOLD_WP
 
@@ -281,6 +295,34 @@ def test_pressure_domain_errors(drude_stack, settings300):
         with pytest.raises(ValueError, match="integration_variable"):
             pressure(drude_stack, 1e-6, EvaluationSettings(zero_temperature=True),
                      integration_variable=variable)
+    # non-finite inputs name themselves before any quadrature runs
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match=f"gap must be > 0 and finite, got a = {bad} m"):
+            pressure(drude_stack, bad, settings300)
+        with pytest.raises(ValueError, match=f"got a = {bad} m"):
+            pressure_zero_temperature(drude_stack, bad)
+        with pytest.raises(ValueError, match=f"got a = {bad} m"):
+            matsubara_pressure_term(drude_stack, bad, 1, settings300)
+        with pytest.raises(ValueError, match=f"separations must be finite, got d = {bad}"):
+            eta_sweep(drude_stack, [1e-6, bad], settings300)
+        for zero_temperature in (False, True):
+            with pytest.raises(ValueError, match=f"temperature must be finite, got {bad}"):
+                EvaluationSettings(temperature=bad, zero_temperature=zero_temperature)
+    with pytest.raises(ValueError, match="got a = -inf m"):
+        pressure(drude_stack, -math.inf, settings300)
+
+
+@pytest.mark.parametrize("zero_temperature", [False, True])
+def test_eta_sweep_rejects_repeated_separation_up_front(monkeypatch, drude_stack,
+                                                        zero_temperature):
+    def fail(*args, **kwargs):
+        raise AssertionError("a pressure was computed before the grid was checked")
+
+    monkeypatch.setattr(engine, "_finite_t_pressures", fail)
+    monkeypatch.setattr(engine, "pressure_zero_temperature", fail)
+    settings = EvaluationSettings(zero_temperature=zero_temperature)
+    with pytest.raises(ValueError, match=r"d = 5\.000000e-07 m appears more than once"):
+        eta_sweep(drude_stack, [1e-6, 0.5e-6, 2e-6, 0.5e-6], settings)
 
 
 SWEEP_GRID = np.geomspace(0.1e-6, 5e-6, 12)
@@ -351,3 +393,98 @@ def test_sweep_kernel_call_counts(monkeypatch, rough_plate, settings300):
     eta_sweep(rough_plate, np.linspace(162e-9, 746e-9, 30), settings300)
     assert calls["_reflection"] <= 26
     assert calls["_static_reflection"] == 1
+
+
+def _k_perp_route_integrals(stack, a, xi, rule):
+    """(I_te, I_tm, err) of one row on the k_perp route, from the textbook formulas.
+
+    k_perp is recovered from the nodes u = 2 a q, every medium's axial
+    wavenumber follows from ``axial_wavenumber`` and every interface from the
+    Fresnel formulas written out here, combined right-to-left through the
+    layers.
+    """
+
+    def interface(pol, i, j):
+        if pol == "TE":
+            return (s[i] - s[j]) / (s[i] + s[j])
+        return (eps[j] * s[i] - eps[i] * s[j]) / (eps[j] * s[i] + eps[i] * s[j])
+
+    u0 = 2.0 * a * xi / CONSTANTS.c
+    U = u0 + rule.nodes
+    k_perp = np.sqrt(np.maximum(U * U - u0 * u0, 0.0)) / (2.0 * a)
+    media = [Vacuum(), *(model for model, _ in stack.layers), stack.substrate]
+    eps = [permittivity_imag_axis(model, xi) for model in media]
+    s = [axial_wavenumber(e, xi, k_perp) for e in eps]
+    values, errors = [], []
+    for pol in ("TE", "TM"):
+        r = interface(pol, -2, -1)
+        for j in range(len(stack.layers), 0, -1):
+            r_outer = interface(pol, j - 1, j)
+            phase = np.exp(-2.0 * stack.layers[j - 1][1] * s[j])
+            r = (r_outer + r * phase) / (1.0 + r_outer * r * phase)
+        g = r * r * np.exp(-U)
+        f = U * U * g / (1.0 - g)
+        values.append(f @ rule.weights[:, 0])
+        errors.append(abs(f @ rule.weights[:, 1]))
+    return values[0], values[1], errors[0] + errors[1]
+
+
+def test_kernel_matches_k_perp_route(drude_stack, plasma_stack, rough_plate):
+    """The q-based kernel gives the k_perp route's integrals on the default rule."""
+    interband = OscillatorSum([(ev_to_angular_frequency(6.0) ** 2,
+                                ev_to_angular_frequency(3.0), ev_to_angular_frequency(0.5))])
+    stacks = [drude_stack, plasma_stack, as_layer_stack(rough_plate),
+              as_layer_stack(build_rough_plate(GOLD_WP, GOLD_GAMMA, 11e-9, 0.9, interband))]
+    assert isinstance(stacks[-1].substrate, Composite)
+    a = np.array([100e-9, 162e-9, 162e-9, 500e-9, 2e-6, 2e-6])
+    xi = matsubara_frequency(np.array([1, 2, 60, 7, 1, 25]), 300.0)
+    for stack in stacks:
+        te, tm, err = engine._pol_integrals(stack, a, xi, engine.DEFAULT_RULE)
+        for i in range(len(a)):
+            ref_te, ref_tm, ref_err = _k_perp_route_integrals(stack, a[i], xi[i],
+                                                             engine.DEFAULT_RULE)
+            assert abs(te[i] - ref_te) <= 1e-14 * ref_te
+            assert abs(tm[i] - ref_tm) <= 1e-14 * ref_tm
+            assert abs(err[i] - ref_err) <= 1e-14 * (ref_te + ref_tm)
+
+
+def test_reflection_of_0d_inputs(drude_stack, rough_plate):
+    """Scalars and 0-d arrays give one [TE, TM] pair, equal to the public accessors."""
+    xi, k_perp = matsubara_frequency(3, 300.0), 4e6
+    q = axial_wavenumber(1.0, xi, k_perp)
+    mirror = LayerStack([(Plasma(GOLD_WP), 20e-9)], PerfectReflector())
+    for stack in (drude_stack, as_layer_stack(rough_plate), mirror):
+        pair = _reflection(stack, np.array(xi), np.array(q))
+        assert pair.shape == (2,)
+        assert np.array_equal(pair, _reflection(stack, xi, q))
+        point = KinematicPoint(xi, k_perp)
+        assert [plate_reflection(stack, pol, point) for pol in ("TE", "TM")] == pair.tolist()
+    for pol in ("TE", "TM"):
+        value = fresnel(pol, np.array(1.0), np.array(3.0), np.array(2e6), np.array(1e6))
+        assert np.ndim(value) == 0
+        assert value == fresnel(pol, 1.0, 3.0, 2e6, 1e6)
+    assert fresnel("TE", 1.0, 3.0, 2e6, 1e6) == pytest.approx(1.0 / 3.0, rel=1e-15)
+    assert fresnel("TM", 1.0, 3.0, 2e6, 1e6) == pytest.approx(5.0 / 7.0, rel=1e-15)
+
+
+def test_constants_match_scipy():
+    """The exact SI values give scipy.constants' floats bit for bit."""
+    import scipy.constants
+
+    assert CONSTANTS.hbar == scipy.constants.hbar
+    assert CONSTANTS.c == scipy.constants.c
+    assert CONSTANTS.k_B == scipy.constants.k
+    assert ev_to_angular_frequency(1.0) == scipy.constants.e / scipy.constants.hbar
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="thresholds are set through glibc")
+def test_kernel_temporaries_stay_in_the_heap(rough_plate):
+    """Repeated T = 0 pressures reuse the freed heap instead of faulting fresh pages in."""
+    settings = EvaluationSettings(zero_temperature=True)
+    a = gap_from_average(0.162e-6, rough_plate.layer_thickness, rough_plate.fill_factor)
+    pressure(rough_plate, a, settings)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(10):
+        pressure(rough_plate, a, settings)
+    # without fixed thresholds: 200-500 faults per call
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 100
