@@ -29,6 +29,7 @@ Exit codes: 0 success, 2 input/validation error, 3 non-convergence,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -270,14 +271,8 @@ def cmd_fit(args) -> int:
 
     report = result.to_dict()
     report["h_nm"] = result.h * 1e9
-    report["settings"] = {
-        "temperature_K": settings.temperature,
-        "zero_temperature": settings.zero_temperature,
-        "quad_rel_tol": settings.quad_rel_tol,
-        "sum_rel_tol": settings.sum_rel_tol,
-        "consecutive_small_terms": settings.consecutive_small_terms,
-        "l_max": settings.l_max,
-    }
+    report["settings"] = {"temperature_K" if key == "temperature" else key: value
+                          for key, value in dataclasses.asdict(settings).items()}
     sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
 
     plate = build_rough_plate(

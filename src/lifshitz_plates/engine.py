@@ -14,7 +14,8 @@ operations.  The terms fall like exp(-l x_1), x_1 = 2 a xi_1 / c, so each gap
 sums a first block sized from that decay rate, then blocks a quarter as long.
 All gaps of a sweep are summed together in waves: one wave integrates the
 current block of every unfinished gap, the xi = 0 rows of all gaps in one
-call, and then runs each gap's stopping rule.  An independent integration
+call, and then runs each gap's stopping rule.  Those blocks and the T = 0
+frequencies share one vectorized refinement rule.  An independent integration
 route in the raw k variable (scipy QUADPACK) runs through the same waves as
 an internal cross-check.
 
@@ -258,48 +259,52 @@ def _integrals(stack: LayerStack, a, xi: np.ndarray, rule: PanelRule) -> np.ndar
     return out
 
 
+def _refined_integrals(stack, a, xi, edges, hints, rule, quad_rel_tol):
+    """[te, tm, err] of the rows (a, xi), grouped by ``edges``, refined group by group.
+
+    Group i holds rows edges[i]:edges[i + 1] and is accepted when its summed
+    Kronrod-Gauss estimate is <= 0.25 ``quad_rel_tol`` max(|hints[i]|,
+    |te + tm summed over the group|); only the rows of the groups that miss
+    it are integrated again on a refined rule, at most ``_MAX_REFINEMENTS``
+    times.  Returns (values, missed, estimate, target), the last three per
+    group as of the last rule tried.
+    """
+    a = np.broadcast_to(a, xi.shape)
+    values = np.empty((3, len(xi)))
+    rows = np.arange(len(xi))
+    for _ in range(_MAX_REFINEMENTS + 1):
+        values[:, rows] = _integrals(stack, a[rows], xi[rows], rule)
+        te, tm, estimate = np.add.reduceat(values, edges[:-1], axis=1)
+        scale = np.maximum(np.abs(hints), np.abs(te + tm))
+        target = 0.25 * quad_rel_tol * scale
+        missed = ~(estimate <= target) & (scale != 0.0)
+        if not missed.any():
+            break
+        rows = np.flatnonzero(np.repeat(missed, np.diff(edges)))
+        rule = rule.refined()
+    return values, missed, estimate, target
+
+
 def _wave_terms(stack, a, blocks, temperature, quad_rel_tol, hints):
     """Pressure-sum integrands [te, tm] of one block of Matsubara indices per gap.
 
     ``blocks[i]`` holds ascending indices for gap ``a[i]``; the rows of all
-    blocks share the kernel calls of :func:`_integrals`.  Block i is accepted
-    when its summed Kronrod-Gauss estimate is <= 0.25 ``quad_rel_tol``
-    max(|hints[i]|, |block sum|); only the blocks that miss it are integrated
-    again on a refined rule.  Returns per block its [te, tm] array, or the
-    :class:`QuadratureBudgetError` of a block still above its target after
-    ``_MAX_REFINEMENTS`` splits.
+    blocks share the kernel calls of :func:`_refined_integrals`, which
+    accepts block i against the scale hint ``hints[i]``.  Returns per block
+    its [te, tm] array, or the :class:`QuadratureBudgetError` of a block
+    still above its target after ``_MAX_REFINEMENTS`` splits.
     """
-    ls = np.concatenate(blocks)
     edges = np.cumsum([0] + [len(b) for b in blocks])
-    row_a = np.repeat(a, np.diff(edges))
-    xi = matsubara_frequency(ls, temperature)
-    values = np.empty((3, len(ls)))
-    out = [None] * len(blocks)
-    todo = range(len(blocks))
-    rule = DEFAULT_RULE
-    for _ in range(_MAX_REFINEMENTS + 1):
-        rows = np.concatenate([np.arange(edges[i], edges[i + 1]) for i in todo])
-        values[:, rows] = _integrals(stack, row_a[rows], xi[rows], rule)
-        missed = {}
-        for i in todo:
-            te, tm, err = values[:, edges[i]:edges[i + 1]]
-            scale = max(abs(hints[i]), abs(float(np.sum(te) + np.sum(tm))))
-            target = 0.25 * quad_rel_tol * scale
-            err_total = float(np.sum(err))
-            if err_total <= target or scale == 0.0:
-                out[i] = values[:2, edges[i]:edges[i + 1]]
-            else:
-                missed[i] = err_total, target
-        if not missed:
-            return out
-        todo = list(missed)
-        rule = rule.refined()
-    for i, (err_total, target) in missed.items():
+    xi = matsubara_frequency(np.concatenate(blocks), temperature)
+    values, missed, estimate, target = _refined_integrals(
+        stack, np.repeat(a, np.diff(edges)), xi, edges, hints, DEFAULT_RULE, quad_rel_tol)
+    out = np.split(values[:2], edges[1:-1], axis=1)
+    for i in np.flatnonzero(missed):
         ends = blocks[i][[0, -1]]
         xi_lo, xi_hi = matsubara_frequency(ends, temperature)
         out[i] = QuadratureBudgetError(
             float(a[i]), f"Matsubara block l = {ends[0]}..{ends[1]} "
-            f"(xi = {xi_lo:.6e}..{xi_hi:.6e} rad/s)", err_total, target)
+            f"(xi = {xi_lo:.6e}..{xi_hi:.6e} rad/s)", float(estimate[i]), float(target[i]))
     return out
 
 
@@ -446,10 +451,8 @@ def matsubara_pressure_term(
     The l = 0 term is returned with its weight one half already applied, so
     the reported values are exactly what enters the sum.  For Drude-bulk
     plates the l = 0 TE entry is an exact zero, not merely a small number.
-    The term is refined until its Kronrod-Gauss error estimate is <= 0.25
-    ``quad_rel_tol`` times its value, as in :func:`pressure`; raises
-    :class:`QuadratureBudgetError` when that fails after ``_MAX_REFINEMENTS``
-    splits.
+    The term is refined as in :func:`pressure`, against its own value; raises
+    :class:`QuadratureBudgetError` when that fails after ``_MAX_REFINEMENTS`` splits.
     """
     settings = settings or EvaluationSettings()
     _check_gap(a)
@@ -464,26 +467,17 @@ def matsubara_pressure_term(
 def _t0_integrand(stack: LayerStack, a: float, v: np.ndarray, quad_rel_tol: float) -> np.ndarray:
     """Sum over polarizations of the u integrals at each v = 2 a xi / c (> 0).
 
-    Every integral meets err <= 0.25 quad_rel_tol |F(v)|; only the frequencies
-    that miss it are integrated again on a refined rule.
+    Each frequency is one group of :func:`_refined_integrals` with no scale
+    hint: it meets err <= 0.25 quad_rel_tol |F(v)|, else only it is refined.
     """
     xi = (0.5 * CONSTANTS.c / a) * v
-    values = np.empty(len(v))
-    todo = np.arange(len(v))
-    rule = _T0_INNER_RULE
-    for _ in range(_MAX_REFINEMENTS + 1):
-        te, tm, err = _integrals(stack, a, xi[todo], rule)
-        values[todo] = te + tm
-        target = 0.25 * quad_rel_tol * np.abs(values[todo])
-        missed = (err > target) & (values[todo] != 0.0)
-        if not missed.any():
-            return values
-        todo, err, target = todo[missed], err[missed], target[missed]
-        rule = rule.refined()
-    worst = int(np.argmax(err / target))
-    i = todo[worst]
-    raise QuadratureBudgetError(
-        a, f"xi = {xi[i]:.6e} rad/s (v = 2 a xi / c = {v[i]:.6e})", err[worst], target[worst])
+    values, missed, estimate, target = _refined_integrals(
+        stack, a, xi, np.arange(len(v) + 1), 0.0, _T0_INNER_RULE, quad_rel_tol)
+    if missed.any():
+        i = max(np.flatnonzero(missed), key=lambda j: estimate[j] / target[j])
+        raise QuadratureBudgetError(
+            a, f"xi = {xi[i]:.6e} rad/s (v = 2 a xi / c = {v[i]:.6e})", estimate[i], target[i])
+    return values[0] + values[1]
 
 
 def pressure_zero_temperature(
@@ -497,8 +491,7 @@ def pressure_zero_temperature(
     Gauss-Kronrod panel rule on [0, 60] graded towards v = 0, every node's u
     integral one row of a vectorized block.  The v integral is accepted when
     its Kronrod-Gauss estimate is <= ``quad_rel_tol`` times its value (else
-    every v panel is split), and each u integral when its estimate is
-    <= 0.25 ``quad_rel_tol`` times its value (else only that node is refined).
+    every v panel is split), each u integral as in :func:`_t0_integrand`.
     The open rules never sample v = 0.  Raises :class:`QuadratureBudgetError`
     when either check still fails after ``_MAX_REFINEMENTS`` splits.
     """

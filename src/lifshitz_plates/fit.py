@@ -161,6 +161,16 @@ def dump_measurements(
         Path(target).write_text(text)
 
 
+def _settings_at(temperature: float, settings: EvaluationSettings | None) -> EvaluationSettings:
+    """``settings``, or the defaults at ``temperature``; finite-T ``settings`` must agree."""
+    if settings is None:
+        return EvaluationSettings(temperature=temperature)
+    if not settings.zero_temperature and settings.temperature != temperature:
+        raise ValueError(f"temperature = {temperature} K conflicts with settings.temperature "
+                         f"= {settings.temperature} K")
+    return settings
+
+
 def residuals(
     h: float,
     f: float,
@@ -172,7 +182,7 @@ def residuals(
     """Weighted residuals (eta_model - eta_obs) / sigma, in the order of ``data``."""
     if not data:
         raise ValueError("no measurements")
-    settings = settings or EvaluationSettings(temperature=temperature)
+    settings = _settings_at(temperature, settings)
     plate = build_rough_plate(
         material.plasma_frequency, material.relaxation_frequency, h, f, material.interband
     )
@@ -209,7 +219,8 @@ def fit_roughness(
     """Fit (h, f) to reduction-factor data by projected Levenberg-Marquardt.
 
     ``init`` must satisfy 0 <= h <= h_max, 0 < f <= 1 and 2 h (1 - f) < min(d),
-    else ``ValueError`` is raised before any evaluation.  Every point tried is
+    else ``ValueError`` is raised before any evaluation, as it is when a
+    finite-T ``settings`` has another temperature.  Every point tried is
     projected onto 0 <= h <= h_max, 1e-3 <= f <= 1 and
     2 h (1 - f) <= (1 - 1e-3) min(d): one margin, 1e-3, on both open edges.
     The search runs in x = (h / h_scale, f); ``h_scale`` (default h_max / 10)
@@ -239,12 +250,12 @@ def fit_roughness(
             f"infeasible start (h0 = {h0:.6e} m, f0 = {f0:.6g}): the gap offset "
             f"2 h0 (1 - f0) = {offset:.6e} m must be below min(d) = {d_min:.6e} m"
         )
+    settings = _settings_at(temperature, settings)
     if len(data) < 2:
         warnings.warn(
             "degenerate fit: one observation cannot determine the two parameters (h, f)",
             stacklevel=2,
         )
-    settings = settings or EvaluationSettings(temperature=temperature)
     h_scale = h_scale or max(h_max / 10.0, 1e-9)
     noise = settings.quad_rel_tol * math.hypot(*(m.eta / m.sigma for m in data))
     step = math.sqrt(settings.quad_rel_tol)

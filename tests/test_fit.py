@@ -210,10 +210,10 @@ def test_fit_validates_init(synthesize, gold):
 
 def test_fit_rejects_infeasible_start(synthesize, gold, monkeypatch):
     """A start inside the (h, f) bounds whose gap offset 2 h (1 - f) reaches
-    the smallest separation is refused before any objective evaluation."""
+    the smallest separation is refused before any residual evaluation."""
     data = synthesize(11e-9, 0.9, np.linspace(162e-9, 746e-9, 4))
     calls = []
-    monkeypatch.setattr(fit_module, "objective", lambda *args: calls.append(args))
+    monkeypatch.setattr(fit_module, "residuals", lambda *args: calls.append(args))
     with pytest.raises(ValueError, match=r"h0 = 1\.000000e-07 m, f0 = 0\.05.*"
                                          r"1\.900000e-07 m.*min\(d\) = 1\.620000e-07 m"):
         fit_roughness(data, (100e-9, 0.05), gold, 300.0)
@@ -236,3 +236,23 @@ def test_zero_temperature_objective_differs(synthesize, gold):
         EvaluationSettings(zero_temperature=True),
     )
     assert chi2_zero > chi2_300
+
+
+def test_temperature_conflicting_with_settings_is_refused(synthesize, gold, monkeypatch):
+    """A finite-T ``settings`` fixes the temperature, so a different
+    ``temperature`` argument is an error, not silently overridden; at T = 0
+    the temperature argument plays no part."""
+    data = synthesize(11e-9, 0.9, np.linspace(300e-9, 700e-9, 4))
+    message = r"temperature = 4\.0 K conflicts with settings\.temperature = 300\.0 K"
+    with pytest.raises(ValueError, match=message):
+        objective(11e-9, 0.9, data, gold, 4.0, EvaluationSettings())
+    with pytest.raises(ValueError, match=message):
+        fit_module.residuals(11e-9, 0.9, data, gold, 4.0, EvaluationSettings())
+    zero_t = EvaluationSettings(zero_temperature=True)
+    assert objective(11e-9, 0.9, data, gold, 4.0, zero_t) == objective(
+        11e-9, 0.9, data, gold, 300.0, zero_t)
+    calls = []
+    monkeypatch.setattr(fit_module, "residuals", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match=message):
+        fit_roughness(data, (5e-9, 0.8), gold, 4.0, settings=EvaluationSettings())
+    assert calls == []

@@ -1,17 +1,21 @@
 """Property tests: invariants that hold for every valid input, not just the examples."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_engine import SWEEP_GRID
 
 from lifshitz_plates import (
     CONSTANTS,
     Composite,
     Drude,
+    EvaluationSettings,
     LayerStack,
     OscillatorSum,
     PerfectReflector,
     Plasma,
+    eta_sweep,
 )
 from lifshitz_plates.stack import _reflection
 
@@ -48,3 +52,28 @@ def test_reflection_is_bounded_by_one(stack, xi, excess):
     r = _reflection(stack, xi, q)
     assert r.shape == (2,) + q.shape
     assert np.all(np.abs(r) <= 1.0)
+
+
+SWEEP_TOLS = (1e-9, 5e-10)
+
+
+@pytest.fixture(scope="module")
+def full_grid_eta(rough_plate):
+    return {tol: eta_sweep(rough_plate, SWEEP_GRID,
+                           EvaluationSettings(temperature=300.0, quad_rel_tol=tol)).eta
+            for tol in SWEEP_TOLS}
+
+
+@settings(max_examples=30)
+@given(quad_rel_tol=st.sampled_from(SWEEP_TOLS),
+       picks=st.lists(st.integers(0, len(SWEEP_GRID) - 1), min_size=2,
+                      max_size=len(SWEEP_GRID), unique=True))
+def test_sweep_row_does_not_depend_on_the_other_gaps(rough_plate, full_grid_eta,
+                                                     quad_rel_tol, picks):
+    """Each gap's blocks are accepted or refined on their own: a sweep over any
+    subset of the grid gives every row the value it has on the full grid.  At
+    5e-10 only some gaps refine, so error sums leaking across gaps would show."""
+    table = eta_sweep(rough_plate, SWEEP_GRID[picks],
+                      EvaluationSettings(temperature=300.0, quad_rel_tol=quad_rel_tol))
+    expected = full_grid_eta[quad_rel_tol][np.sort(picks)]
+    assert np.all(np.abs(table.eta - expected) <= 1e-15 * expected)

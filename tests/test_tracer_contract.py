@@ -1,7 +1,13 @@
-"""The benchmark tracer wraps program names by attribute; each must exist."""
+"""The benchmark tracer wraps program names by attribute; each must exist, and
+the arguments it reads by position must sit where it reads them."""
 
 import importlib.util
+import inspect
 from pathlib import Path
+
+import pytest
+
+from lifshitz_plates import engine
 
 SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 
@@ -21,3 +27,15 @@ def test_every_traced_name_resolves():
         tracer.uninstall()
     for (module, attr, _, _), original in zip(spans.WRAPPED, originals):
         assert getattr(module, attr) is original, attr
+
+
+@pytest.mark.parametrize("name, positions", [
+    ("_pol_integrals", {3: "rule"}),
+    ("_pol_integrals_zero", {2: "rule"}),
+    ("_block_terms_scaled", {2: "ls", 4: "quad_rel_tol", 5: "scale_hint"}),
+    ("pressure", {2: "settings"}),
+    ("pressure_zero_temperature", {2: "settings"}),
+])
+def test_traced_arguments_keep_their_positions(name, positions):
+    params = list(inspect.signature(getattr(engine, name)).parameters)
+    assert {i: params[i] for i in positions} == positions

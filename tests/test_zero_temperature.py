@@ -66,3 +66,21 @@ def test_refinement_budget_exhaustion_raises(monkeypatch, drude_stack):
     with pytest.raises(QuadratureBudgetError, match=r"Matsubara block l = 1\.\.1"):
         matsubara_pressure_term(drude_stack, 162e-9, 1, finite_t)
 
+
+
+def test_only_missed_frequencies_are_refined(monkeypatch, drude_stack):
+    """At the default tolerance every outer frequency is integrated once on the
+    inner rule, and only the few that miss their target again on a refined one."""
+    seen = []
+    original = engine._integrals
+
+    def recording(stack, a, xi, rule):
+        seen.append((len(xi), len(rule.nodes)))
+        return original(stack, a, xi, rule)
+
+    monkeypatch.setattr(engine, "_integrals", recording)
+    pressure_zero_temperature(drude_stack, 162e-9, EvaluationSettings(zero_temperature=True))
+    (rows, nodes), refined = seen[0], seen[1:]
+    assert (rows, nodes) == (len(engine._T0_OUTER_RULE.nodes), len(engine._T0_INNER_RULE.nodes))
+    assert refined
+    assert all(0 < r < rows and n > nodes for r, n in refined)
