@@ -92,5 +92,9 @@ class PanelRule:
         """Rule with every panel split in half."""
         return PanelRule.from_edges(_split_edges(self.edges))
 
+    def coarse(self) -> "PanelRule":
+        """Rule on every other edge, the last edge kept: coarse(refined(R)) is R."""
+        return PanelRule.from_edges(np.append(self.edges[:-1:2], self.edges[-1]))
+
 
 DEFAULT_RULE = PanelRule.from_edges(DEFAULT_EDGES)

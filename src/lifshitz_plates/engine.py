@@ -10,8 +10,9 @@ with q_l = sqrt(k^2 + xi_l^2/c^2).  The k integral is evaluated in the scaled
 variable u = 2 a q_l, where the integrand decays like u^2 exp(-u) uniformly
 in l, so every Matsubara term at every gap shares one panel layout and each
 kernel call integrates up to ``_BLOCK`` (gap, xi) rows in single vectorized
-operations.  The terms fall like exp(-l x_1), x_1 = 2 a xi_1 / c, so each gap
-sums a first block sized from that decay rate, then blocks a quarter as long.
+operations, fed to the reflection pass as they are.  The terms fall like
+exp(-l x_1), x_1 = 2 a xi_1 / c, so each gap sums a first block sized from that
+decay rate, then blocks a quarter as long; terms beyond u = 16 start coarser.
 All gaps of a sweep are summed together in waves: one wave integrates the
 current block of every unfinished gap, the xi = 0 rows of all gaps in one
 call, and then runs each gap's stopping rule.  Those blocks and the T = 0
@@ -68,6 +69,9 @@ _MAX_REFINEMENTS = 6
 _BLOCK = 64           # rows per kernel call
 # a gap's first block holds this many times ln(1/sum_rel_tol)/x_1 terms
 _DECAY_SAFETY = 1.2
+# a term whose u integral starts beyond u0 = 2 a xi / c = 16, at most about
+# exp(-16) of its gap's leading terms, starts one level coarser (60 nodes)
+_COARSE_FROM = 16.0
 
 # T = 0 rules, both ending on the default ladder from 1.5 to 60.  Outer, in
 # v = 2 a xi / c: panels graded geometrically towards v = 0, where the Drude TE
@@ -205,18 +209,18 @@ def gap_from_average(d: float, layer_thickness: float, fill_factor: float) -> fl
 # ----------------------------------------------------------------------
 # scaled-variable quadrature of Matsubara terms, in waves over the gaps
 
-def _panel_sums(U, u0, rule: PanelRule, r):
+def _panel_sums(U2, u0, rule: PanelRule, r):
     """Panel sums of u^2 g/(1-g), g = r^2 exp(-u), for both polarizations.
 
-    ``r`` is the reflection coefficient at the nodes ``U`` = ``u0`` +
-    ``rule.nodes`` with a leading [TE, TM] axis.  Returns (I_te, I_tm, err);
+    ``r`` is the reflection coefficient at the nodes u = ``u0`` + ``rule.nodes``
+    (``U2`` = u^2) with a leading [TE, TM] axis.  Returns (I_te, I_tm, err);
     err is the Kronrod-Gauss error estimate summed over both polarizations.
     """
     # in place: one (2, rows, nodes) temporary fewer per step keeps the T = 0
     # blocks from trimming and regrowing the heap on every call
     g = r * r
     g *= np.exp(-u0) * rule.decay
-    f = U * U * g
+    f = U2 * g
     f /= 1.0 - g
     sums = f @ rule.weights
     return sums[0, :, 0], sums[1, :, 0], np.abs(sums[..., 1]).sum(axis=0)
@@ -226,24 +230,25 @@ def _pol_integrals(stack: LayerStack, a, xi: np.ndarray, rule: PanelRule):
     """Integrals of u^2 g/(1-g) over u for each row (a, xi > 0) and polarization.
 
     ``a`` is the gap of each row, or one gap for all rows.  The nodes u = 2 a q
-    reach the stack layer as the vacuum axial wavenumber q.  Returns (I_te,
-    I_tm, err) arrays of shape (len(xi),).
+    and their squares reach the stack layer as they are.  Returns (I_te, I_tm,
+    err) arrays of shape (len(xi),).
     """
     a = np.reshape(a, (-1, 1))
     u0 = (2.0 * a / CONSTANTS.c) * xi[:, None]
     U = u0 + rule.nodes
-    return _panel_sums(U, u0, rule, _reflection(stack, xi[:, None], U / (2.0 * a)))
+    U2 = U * U
+    return _panel_sums(U2, u0, rule, _reflection(stack, xi[:, None], U, a, U2))
 
 
 def _pol_integrals_zero(stack: LayerStack, a, rule: PanelRule):
     """Same as :func:`_pol_integrals` for xi = 0 rows (analytic limits), one per gap in ``a``."""
-    U = rule.nodes[None, :]
-    return _panel_sums(U, 0.0, rule,
-                       _static_reflection(stack, U / (2.0 * np.reshape(a, (-1, 1)))))
+    a = np.reshape(a, (-1, 1))
+    U = np.broadcast_to(rule.nodes, (len(a), len(rule.nodes)))
+    return _panel_sums(rule.nodes * rule.nodes, 0.0, rule, _static_reflection(stack, U, a))
 
 
 def _integrals(stack: LayerStack, a, xi: np.ndarray, rule: PanelRule) -> np.ndarray:
-    """[te, tm, err] of the rows (a, xi), at most ``_BLOCK`` rows per kernel call.
+    """[te, tm, err] of the rows (a, xi), ``_BLOCK`` rows' nodes of ``DEFAULT_RULE`` per call.
 
     The xi = 0 rows go to :func:`_pol_integrals_zero`, the others to
     :func:`_pol_integrals`; ``a`` is per row or one gap for all rows.
@@ -251,29 +256,35 @@ def _integrals(stack: LayerStack, a, xi: np.ndarray, rule: PanelRule) -> np.ndar
     a = np.broadcast_to(a, xi.shape)
     out = np.empty((3, len(xi)))
     zero = xi == 0.0
+    step = max(_BLOCK, _BLOCK * len(DEFAULT_RULE.nodes) // len(rule.nodes))
     for rows in (np.flatnonzero(zero), np.flatnonzero(~zero)):
-        for start in range(0, len(rows), _BLOCK):
-            i = rows[start:start + _BLOCK]
+        for start in range(0, len(rows), step):
+            i = rows[start:start + step]
             out[:, i] = (_pol_integrals_zero(stack, a[i], rule) if zero[i[0]]
                          else _pol_integrals(stack, a[i], xi[i], rule))
     return out
 
 
-def _refined_integrals(stack, a, xi, edges, hints, rule, quad_rel_tol):
+def _refined_integrals(stack, a, xi, edges, hints, rule, quad_rel_tol, coarse=False):
     """[te, tm, err] of the rows (a, xi), grouped by ``edges``, refined group by group.
 
+    Rows start on ``rule``, those flagged ``coarse`` on ``rule.coarse()``.
     Group i holds rows edges[i]:edges[i + 1] and is accepted when its summed
     Kronrod-Gauss estimate is <= 0.25 ``quad_rel_tol`` max(|hints[i]|,
     |te + tm summed over the group|); only the rows of the groups that miss
-    it are integrated again on a refined rule, at most ``_MAX_REFINEMENTS``
-    times.  Returns (values, missed, estimate, target), the last three per
-    group as of the last rule tried.
+    it are integrated again, each one level finer than before, at most
+    ``_MAX_REFINEMENTS`` times.  Returns (values, missed, estimate, target),
+    the last three per group as of the last rules tried.
     """
     a = np.broadcast_to(a, xi.shape)
+    coarse = np.broadcast_to(coarse, xi.shape)
     values = np.empty((3, len(xi)))
     rows = np.arange(len(xi))
+    rules = (rule.coarse() if coarse.any() else None, rule)  # coarse(refined(R)) is R
     for _ in range(_MAX_REFINEMENTS + 1):
-        values[:, rows] = _integrals(stack, a[rows], xi[rows], rule)
+        for level_rule, i in zip(rules, (rows[coarse[rows]], rows[~coarse[rows]])):
+            if len(i):
+                values[:, i] = _integrals(stack, a[i], xi[i], level_rule)
         te, tm, estimate = np.add.reduceat(values, edges[:-1], axis=1)
         scale = np.maximum(np.abs(hints), np.abs(te + tm))
         target = 0.25 * quad_rel_tol * scale
@@ -281,7 +292,7 @@ def _refined_integrals(stack, a, xi, edges, hints, rule, quad_rel_tol):
         if not missed.any():
             break
         rows = np.flatnonzero(np.repeat(missed, np.diff(edges)))
-        rule = rule.refined()
+        rules = (rules[1], rules[1].refined())
     return values, missed, estimate, target
 
 
@@ -290,14 +301,16 @@ def _wave_terms(stack, a, blocks, temperature, quad_rel_tol, hints):
 
     ``blocks[i]`` holds ascending indices for gap ``a[i]``; the rows of all
     blocks share the kernel calls of :func:`_refined_integrals`, which
-    accepts block i against the scale hint ``hints[i]``.  Returns per block
-    its [te, tm] array, or the :class:`QuadratureBudgetError` of a block
-    still above its target after ``_MAX_REFINEMENTS`` splits.
+    accepts block i against the scale hint ``hints[i]`` (rows beyond u0 = 16
+    start coarse).  Returns per block its [te, tm] array, or the ``QuadratureBudgetError``
+    of a block still above its target after ``_MAX_REFINEMENTS`` splits.
     """
     edges = np.cumsum([0] + [len(b) for b in blocks])
     xi = matsubara_frequency(np.concatenate(blocks), temperature)
+    rows_a = np.repeat(a, np.diff(edges))
     values, missed, estimate, target = _refined_integrals(
-        stack, np.repeat(a, np.diff(edges)), xi, edges, hints, DEFAULT_RULE, quad_rel_tol)
+        stack, rows_a, xi, edges, hints, DEFAULT_RULE, quad_rel_tol,
+        (2.0 * rows_a / CONSTANTS.c) * xi > _COARSE_FROM)
     out = np.split(values[:2], edges[1:-1], axis=1)
     for i in np.flatnonzero(missed):
         ends = blocks[i][[0, -1]]

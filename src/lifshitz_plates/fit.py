@@ -322,8 +322,9 @@ def _levenberg_marquardt(residual, x, project, noise, step, budget):
     held at a bound against the gradient stays.  Converged: the step s
     passes |J s|^2 <= 2 |r| noise + noise^2 (its predicted change of chi^2
     is within chi^2's noise), and every free coordinate passes
-    |J_i^T r| <= |J_i| (noise + step |r|), ``step`` being the relative
-    accuracy of the forward differences.
+    |J_i^T r| <= |J_i| (noise + step |r|) + (noise / step) |r|: ``step`` is
+    the relative truncation error of the forward differences and noise / step
+    their rounding error.
     """
     r = residual(x)
     jac = _jacobian(residual, x, r, project, step)
@@ -342,7 +343,7 @@ def _levenberg_marquardt(residual, x, project, noise, step, budget):
         r_norm = math.sqrt(chi2)
         small_step = np.sum((jac @ (trial - x)) ** 2) <= 2.0 * r_norm * noise + noise**2
         small_grad = np.all(np.abs(grad[free]) <= np.linalg.norm(jac[:, free], axis=0)
-                            * (noise + step * r_norm))
+                            * (noise + step * r_norm) + noise / step * r_norm)
         if small_step and small_grad:
             return x, chi2, jac, True
         if budget() < 3:

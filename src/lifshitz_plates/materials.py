@@ -109,14 +109,16 @@ class Composite:
 DielectricModel = Union[Vacuum, PerfectReflector, Drude, Plasma, OscillatorSum, Composite]
 
 
-def permittivity_imag_axis(model: DielectricModel, xi: ArrayLike) -> ArrayLike:
+def permittivity_imag_axis(model: DielectricModel, xi: ArrayLike, *,
+                           check: bool = True) -> ArrayLike:
     """Evaluate eps(i xi) for ``xi > 0`` (rad/s), scalar or array.
 
     The xi = 0 point is never evaluated here; reflection coefficients at zero
     frequency are obtained from the analytic limits in :mod:`lifshitz_plates.stack`.
+    ``check=False`` skips the xi > 0 test, for frequencies built positive.
     """
     xi = np.asarray(xi, dtype=float)
-    if np.any(xi <= 0.0):
+    if check and np.any(xi <= 0.0):
         raise ValueError("xi must be strictly positive; the xi=0 point is handled at reflection level")
     eps = _eps_minus_one(model, xi) + 1.0
     return eps if eps.ndim else float(eps)

@@ -2,13 +2,13 @@
 
 A plate is vacuum | (optional finite layers) | substrate half-space.  For
 ``xi > 0`` the coefficients follow from the Fresnel formulas combined
-right-to-left through the layers.  On that path the stack layer takes the
-vacuum axial wavenumber q = sqrt(k_perp^2 + xi^2/c^2) rather than k_perp:
-vacuum then has s = q, and every other medium s_j = sqrt(q^2 + (eps_j - 1)
-xi^2/c^2).  The ``xi = 0`` point runs the same recursion on model-aware
-analytic limits of each interface, because the conductor permittivities
-diverge there (Drude like 1/xi, plasma like 1/xi^2) and a naive evaluation
-produces 0 * inf forms.  One pass gives both
+right-to-left through the layers, fed the engine's variable u = 2 a q, q =
+sqrt(k_perp^2 + xi^2/c^2) at gap a: with u0 = 2 a xi / c, medium j has 2 a s_j
+= sqrt(u^2 + (eps_j - 1) u0^2) (vacuum: u), and a layer of thickness d the
+phase exp(-d (2 a s_j) / a).  The ``xi = 0`` point runs the same recursion on
+model-aware analytic limits of each interface, because the conductor
+permittivities diverge there (Drude like 1/xi, plasma like 1/xi^2) and a
+naive evaluation produces 0 * inf forms.  One pass gives both
 polarizations: the internal coefficients carry a leading axis [TE, TM].
 
 Sign convention (fixed for testability; only r^2 is observable in the
@@ -67,6 +67,10 @@ class LayerStack:
                 kept.append((model, float(thickness)))
         object.__setattr__(self, "layers", tuple(kept))
         object.__setattr__(self, "substrate", substrate)
+        # the media below vacuum that the reflection pass walks (not a field)
+        media = tuple(model for model, _ in kept)
+        mirror = isinstance(substrate, PerfectReflector)
+        object.__setattr__(self, "media", media if mirror else media + (substrate,))
 
 
 @dataclass(frozen=True)
@@ -109,13 +113,14 @@ def _pol_index(polarization: Polarization) -> int:
 
 def _fresnel_pair(eps_i: ArrayLike, eps_j: ArrayLike, s_i: ArrayLike, s_j: ArrayLike) -> np.ndarray:
     """[TE, TM] single-interface reflection coefficients from medium i onto medium j."""
-    # written in place: at most two full-size temporaries besides the result
-    r = np.empty((2,) + np.broadcast_shapes(*map(np.shape, (eps_i, eps_j, s_i, s_j))))
+    # written in place: at most two full-size temporaries besides the result,
+    # and a permittivity of exactly 1 (vacuum) multiplies nothing
+    r = np.empty((2,) + np.broadcast(eps_i, eps_j, s_i, s_j).shape)
     te, tm = r[0, ...], r[1, ...]
     np.subtract(s_i, s_j, out=te)
     te /= s_i + s_j
     np.multiply(eps_j, s_i, out=tm)
-    eps_s = eps_i * s_j
+    eps_s = s_j if isinstance(eps_i, float) and eps_i == 1.0 else eps_i * s_j
     den = tm + eps_s
     tm -= eps_s
     tm /= den
@@ -133,33 +138,29 @@ def fresnel(
     return _fresnel_pair(eps_i, eps_j, s_i, s_j)[_pol_index(polarization)]
 
 
-def _combine(r_outer: np.ndarray, r_inner: np.ndarray, phase: ArrayLike) -> np.ndarray:
-    # the denominator vanishes only for r_o = -r_i = +-1 and a phase rounded to
-    # 1 (an ultra-thin layer at xi = 0), where the value is r_o as for any phase < 1
+def _combine(r_outer: np.ndarray, r_inner: np.ndarray, phase: ArrayLike,
+             static: bool) -> np.ndarray:
     r = r_inner * phase
     den = r_outer * r
     den += 1.0
     r += r_outer
-    zero = den == 0.0
-    if zero.any():
-        r[zero], den[zero] = np.broadcast_to(r_outer, r.shape)[zero], 1.0
+    if static:
+        # only at xi = 0 can the denominator vanish: r_o = -r_i = +-1 and a phase
+        # rounded to 1 (an ultra-thin layer), where the value is r_o as for phase < 1
+        zero = den == 0.0
+        if zero.any():
+            r[zero], den[zero] = np.broadcast_to(r_outer, r.shape)[zero], 1.0
     r /= den
     return r
 
 
-def _media(stack: LayerStack) -> list[DielectricModel]:
-    """Vacuum, the finite layers, then the substrate unless it is a perfect mirror."""
-    media = [Vacuum(), *(model for model, _ in stack.layers)]
-    if not isinstance(stack.substrate, PerfectReflector):
-        media.append(stack.substrate)
-    return media
-
-
-def _recurse(stack: LayerStack, s: list[ArrayLike], interface) -> np.ndarray:
+def _recurse(stack: LayerStack, s: list[ArrayLike], a: ArrayLike, interface,
+             static: bool = False) -> np.ndarray:
     """Combine [TE, TM] interface coefficients right-to-left through the layers.
 
-    ``s[j]`` is the axial wavenumber in medium j of :func:`_media` and
-    ``interface(i, j)`` the coefficient pair from medium i onto medium j.
+    ``s[j]`` is 2 ``a`` times the axial wavenumber in medium j: vacuum, then
+    ``stack.media``; a layer of thickness d has the phase exp(-d s[j] / a).
+    ``interface(i, j)`` is the coefficient pair from medium i onto medium j.
     """
     if isinstance(stack.substrate, PerfectReflector):
         pair = np.reshape([-1.0, 1.0], (2,) + (1,) * np.ndim(s[0]))
@@ -168,25 +169,26 @@ def _recurse(stack: LayerStack, s: list[ArrayLike], interface) -> np.ndarray:
         r = interface(len(s) - 2, len(s) - 1)
     for j in range(len(stack.layers), 0, -1):
         # exp underflows to an exact 0, without a warning, for thick layers
-        phase = np.exp(s[j] * (-2.0 * stack.layers[j - 1][1]))
-        r = _combine(interface(j - 1, j), r, phase)
+        phase = np.exp(s[j] * (-stack.layers[j - 1][1] / a))
+        r = _combine(interface(j - 1, j), r, phase, static)
     return r
 
 
-def _reflection(stack: LayerStack, xi: ArrayLike, q: ArrayLike) -> np.ndarray:
+def _reflection(stack: LayerStack, xi: ArrayLike, u: ArrayLike, a: ArrayLike = 0.5,
+                u2: ArrayLike | None = None) -> np.ndarray:
     """Plate reflection coefficients [TE, TM] for xi > 0 (vectorized, broadcasting).
 
-    ``q`` = sqrt(k_perp^2 + xi^2/c^2) >= xi/c is the axial wavenumber in the
-    vacuum gap; medium j has s_j = sqrt(q^2 + (eps_j - 1) xi^2/c^2).
+    ``u`` = 2 a q is the vacuum axial wavenumber q scaled by twice the length
+    ``a`` (a = 0.5 m: u is q in 1/m); ``u2`` is u^2 if the caller has it.  With
+    u0 = 2 a xi / c, medium j has 2 a s_j = sqrt(u^2 + (eps_j - 1) u0^2).  ``xi``
+    is not checked: callers pass only xi > 0, where |r| < 1 for every node.
     """
-    xi = np.asarray(xi, dtype=float)
-    q = np.asarray(q, dtype=float)
-    eps = [1.0] + [permittivity_imag_axis(m, xi) for m in _media(stack)[1:]]
-    s = [q]
-    if len(eps) > 1:  # a bare perfect mirror needs no arithmetic on q
-        q2, w2 = q * q, (xi / CONSTANTS.c) ** 2
-        s += [np.sqrt(q2 + (e - 1.0) * w2) for e in eps[1:]]
-    return _recurse(stack, s, lambda i, j: _fresnel_pair(eps[i], eps[j], s[i], s[j]))
+    eps = [permittivity_imag_axis(m, xi, check=False) for m in stack.media]
+    u2 = u * u if u2 is None else u2
+    u0_sq = ((2.0 * a / CONSTANTS.c) * xi) ** 2
+    s = [u] + [np.sqrt(u2 + (e - 1.0) * u0_sq) for e in eps]
+    eps.insert(0, 1.0)
+    return _recurse(stack, s, a, lambda i, j: _fresnel_pair(eps[i], eps[j], s[i], s[j]))
 
 
 def plate_reflection(
@@ -200,17 +202,15 @@ def plate_reflection(
     return float(_reflection(stack, point.xi, q)[pol])
 
 
-def _static_reflection(stack: LayerStack, k_perp: ArrayLike) -> np.ndarray:
-    """Analytic xi -> 0 limit of the plate reflection coefficients [TE, TM]."""
-    k_perp = np.asarray(k_perp, dtype=float)
-    limits = [static_limit(m) for m in _media(stack)]
+def _static_reflection(stack: LayerStack, u: ArrayLike, a: ArrayLike = 0.5) -> np.ndarray:
+    """Analytic xi -> 0 limit of the coefficients [TE, TM] at u = 2 a k_perp (see _reflection)."""
+    u = np.asarray(u, dtype=float)
+    limits = [(0, 1.0)] + [static_limit(m) for m in stack.media]
     # eps xi^2 survives the limit only for 1/xi^2 divergences (plasma-like)
-    s = [
-        k_perp if order < 2
-        else np.sqrt(k_perp**2 + amplitude / CONSTANTS.c**2)
-        for order, amplitude in limits
-    ]
-    return _recurse(stack, s, lambda i, j: _static_fresnel(limits[i], limits[j], s[i], s[j]))
+    s = [u if order < 2 else np.sqrt(u * u + (2.0 * a / CONSTANTS.c) ** 2 * amplitude)
+         for order, amplitude in limits]
+    return _recurse(stack, s, a, lambda i, j: _static_fresnel(limits[i], limits[j], s[i], s[j]),
+                    static=True)
 
 
 def _static_fresnel(limit_i, limit_j, s_i, s_j) -> np.ndarray:

@@ -395,6 +395,34 @@ def test_sweep_kernel_call_counts(monkeypatch, rough_plate, settings300):
     assert calls["_static_reflection"] == 1
 
 
+def test_missed_block_refines_both_levels(monkeypatch, rough_plate):
+    """A block whose tail rows (u0 > 16) start on the coarse rule misses a
+    1e-14 target: its coarse rows move to the default rule while the others
+    move to the refined one, in the same pass."""
+    seen = _kernel_levels(monkeypatch)
+    ls = np.arange(1, 100)
+    assert 2.0 * 162e-9 * matsubara_frequency(ls[-1], 300.0) / CONSTANTS.c > engine._COARSE_FROM
+    engine._wave_terms(as_layer_stack(rough_plate), np.array([162e-9]), [ls], 300.0, 1e-14, [0.0])
+    assert [nodes for _, nodes in seen[:4]] == [60, 105, 105, 210]
+
+
+def test_sweep_work_budget(monkeypatch, rough_plate, settings300):
+    """A 30-point 300 K rough-plate sweep integrates at most 131,910 row-nodes:
+    the work of its first waves with the tail terms (u0 > 16) on the coarse
+    rule and no refinement, a count that does not drift with the machine.
+    With every row on the default rule it was 168,000."""
+    work = []
+    original = engine._integrals
+
+    def counted(stack, a, xi, rule):
+        work.append(len(xi) * len(rule.nodes))
+        return original(stack, a, xi, rule)
+
+    monkeypatch.setattr(engine, "_integrals", counted)
+    eta_sweep(rough_plate, np.linspace(162e-9, 746e-9, 30), settings300)
+    assert sum(work) <= 131_910
+
+
 def _k_perp_route_integrals(stack, a, xi, rule):
     """(I_te, I_tm, err) of one row on the k_perp route, from the textbook formulas.
 
@@ -412,12 +440,13 @@ def _k_perp_route_integrals(stack, a, xi, rule):
     u0 = 2.0 * a * xi / CONSTANTS.c
     U = u0 + rule.nodes
     k_perp = np.sqrt(np.maximum(U * U - u0 * u0, 0.0)) / (2.0 * a)
-    media = [Vacuum(), *(model for model, _ in stack.layers), stack.substrate]
+    mirror = isinstance(stack.substrate, PerfectReflector)
+    media = [Vacuum(), *(model for model, _ in stack.layers)] + [stack.substrate] * (not mirror)
     eps = [permittivity_imag_axis(model, xi) for model in media]
     s = [axial_wavenumber(e, xi, k_perp) for e in eps]
     values, errors = [], []
     for pol in ("TE", "TM"):
-        r = interface(pol, -2, -1)
+        r = (-1.0 if pol == "TE" else 1.0) if mirror else interface(pol, -2, -1)
         for j in range(len(stack.layers), 0, -1):
             r_outer = interface(pol, j - 1, j)
             phase = np.exp(-2.0 * stack.layers[j - 1][1] * s[j])
@@ -430,22 +459,35 @@ def _k_perp_route_integrals(stack, a, xi, rule):
 
 
 def test_kernel_matches_k_perp_route(drude_stack, plasma_stack, rough_plate):
-    """The q-based kernel gives the k_perp route's integrals on the default rule."""
+    """The kernel, fed the nodes u, gives the k_perp route's integrals on the
+    default rule, for conductors, a plasma layer over a perfect mirror and a
+    dielectric layer; and on the coarse rule for rows with u0 > 16, where it
+    also agrees with the default rule."""
     interband = OscillatorSum([(ev_to_angular_frequency(6.0) ** 2,
                                 ev_to_angular_frequency(3.0), ev_to_angular_frequency(0.5))])
     stacks = [drude_stack, plasma_stack, as_layer_stack(rough_plate),
-              as_layer_stack(build_rough_plate(GOLD_WP, GOLD_GAMMA, 11e-9, 0.9, interband))]
-    assert isinstance(stacks[-1].substrate, Composite)
+              as_layer_stack(build_rough_plate(GOLD_WP, GOLD_GAMMA, 11e-9, 0.9, interband)),
+              LayerStack([(Plasma(GOLD_WP), 20e-9)], PerfectReflector()),
+              LayerStack([(interband, 50e-9)], drude_stack.substrate)]
+    assert isinstance(stacks[3].substrate, Composite)
     a = np.array([100e-9, 162e-9, 162e-9, 500e-9, 2e-6, 2e-6])
     xi = matsubara_frequency(np.array([1, 2, 60, 7, 1, 25]), 300.0)
+    a_tail = np.array([162e-9, 500e-9, 2e-6])
+    xi_tail = matsubara_frequency(np.array([80, 40, 25]), 300.0)
+    assert np.all(2.0 * a_tail * xi_tail / CONSTANTS.c > engine._COARSE_FROM)
+    coarse = engine.DEFAULT_RULE.coarse()
     for stack in stacks:
-        te, tm, err = engine._pol_integrals(stack, a, xi, engine.DEFAULT_RULE)
-        for i in range(len(a)):
-            ref_te, ref_tm, ref_err = _k_perp_route_integrals(stack, a[i], xi[i],
-                                                             engine.DEFAULT_RULE)
-            assert abs(te[i] - ref_te) <= 1e-14 * ref_te
-            assert abs(tm[i] - ref_tm) <= 1e-14 * ref_tm
-            assert abs(err[i] - ref_err) <= 1e-14 * (ref_te + ref_tm)
+        for rows_a, rows_xi, rule in ((a, xi, engine.DEFAULT_RULE), (a_tail, xi_tail, coarse)):
+            te, tm, err = engine._pol_integrals(stack, rows_a, rows_xi, rule)
+            for i in range(len(rows_a)):
+                ref_te, ref_tm, ref_err = _k_perp_route_integrals(stack, rows_a[i], rows_xi[i],
+                                                                 rule)
+                assert abs(te[i] - ref_te) <= 1e-14 * ref_te
+                assert abs(tm[i] - ref_tm) <= 1e-14 * ref_tm
+                assert abs(err[i] - ref_err) <= 1e-14 * (ref_te + ref_tm)
+        coarse_sum = sum(engine._pol_integrals(stack, a_tail, xi_tail, coarse)[:2])
+        fine_sum = sum(engine._pol_integrals(stack, a_tail, xi_tail, engine.DEFAULT_RULE)[:2])
+        assert np.all(np.abs(coarse_sum - fine_sum) <= 1e-12 * fine_sum)
 
 
 def test_reflection_of_0d_inputs(drude_stack, rough_plate):

@@ -8,8 +8,10 @@ from lifshitz_plates import (
     Measurement,
     dump_measurements,
     fit_roughness,
+    ideal_pressure,
     load_measurements,
     objective,
+    pressure,
 )
 from lifshitz_plates import fit as fit_module
 
@@ -187,6 +189,27 @@ def test_fit_single_point_is_degenerate(synthesize, gold):
         result = fit_roughness(data, (11e-9, 0.9), gold, 300.0)
     assert result.chi2 <= 1e-20
     assert result.converged
+
+
+def test_fit_converges_at_a_minimum_it_cannot_fit_exactly(gold, drude_stack, settings300):
+    """Smooth Drude data at gaps 3 nm below the stated d: the best model is a
+    nearly empty layer (h = 3.7 nm, f = 0.023) with chi2 = 2.8e-7.  There the
+    forward differences' rounding error, noise / step per Jacobian column,
+    exceeds the gradient, and a test without it ran out at lambda_max with
+    converged=False after 148 evaluations (as did a T = 0 fit of 300 K data:
+    206 evaluations).  ``max_evaluations=3`` runs the convergence test at the
+    start alone: it holds at the minimum and not away from it."""
+    d = np.linspace(162e-9, 746e-9, 4)
+    data = [Measurement(x, pressure(drude_stack, x - 3e-9, settings300) / ideal_pressure(x))
+            for x in d]
+    result = fit_roughness(data, (5e-9, 0.8), gold, 300.0)
+    assert result.converged
+    assert result.n_evaluations < 120
+    assert abs(result.h - 3.745e-9) < 0.01e-9 and abs(result.f - 0.0227) < 0.001
+    assert result.chi2 > 1e-7
+    for start, converged in [((result.h, result.f), True), ((5e-9, 0.8), False),
+                             ((1.05 * result.h, result.f), False)]:
+        assert fit_roughness(data, start, gold, 300.0, max_evaluations=3).converged == converged
 
 
 def test_fit_budget_exhaustion(synthesize, gold):

@@ -15,9 +15,13 @@ from lifshitz_plates import (
     OscillatorSum,
     PerfectReflector,
     Plasma,
+    build_rough_plate,
     eta_sweep,
+    pressure,
 )
 from lifshitz_plates.stack import _reflection
+
+from conftest import GOLD_GAMMA, GOLD_WP
 
 
 def _log_uniform(lo_exp: float, hi_exp: float):
@@ -77,3 +81,28 @@ def test_sweep_row_does_not_depend_on_the_other_gaps(rough_plate, full_grid_eta,
                       EvaluationSettings(temperature=300.0, quad_rel_tol=quad_rel_tol))
     expected = full_grid_eta[quad_rel_tol][np.sort(picks)]
     assert np.all(np.abs(table.eta - expected) <= 1e-15 * expected)
+
+
+PLATES = {
+    "drude": LayerStack((), Drude(GOLD_WP, GOLD_GAMMA)),
+    "plasma": LayerStack((), Plasma(GOLD_WP)),
+    "rough-11nm": build_rough_plate(GOLD_WP, GOLD_GAMMA, 11e-9, 0.9),
+    "rough-100nm": build_rough_plate(GOLD_WP, GOLD_GAMMA, 100e-9, 1.0),
+    "layer-over-mirror": LayerStack([(Plasma(GOLD_WP), 20e-9)], PerfectReflector()),
+    "dielectric-layer": LayerStack([(OscillatorSum([(1e32, 1e16, 1e14)]), 50e-9)],
+                                   Drude(GOLD_WP, GOLD_GAMMA)),
+}
+PERFECT = LayerStack((), PerfectReflector())
+
+
+@settings(max_examples=24)
+@given(name=st.sampled_from(sorted(PLATES)), a=_log_uniform(-7.3, -5.0),
+       zero_temperature=st.booleans())
+def test_pressure_is_bounded_by_the_perfect_mirrors(name, a, zero_temperature):
+    """0 < P(plate, a, T) <= P(perfect, a, T) at the same gap, at 300 K and at
+    T = 0: g/(1 - g) rises with g = r^2 exp(-u), so |r| <= 1 at every node
+    bounds each term by the mirrors' (eta itself exceeds 1 at 300 K beyond
+    about 3 um)."""
+    settings = EvaluationSettings(temperature=300.0, zero_temperature=zero_temperature)
+    value = pressure(PLATES[name], a, settings)
+    assert 0.0 < value <= pressure(PERFECT, a, settings) * (1.0 + settings.quad_rel_tol)
