@@ -44,19 +44,29 @@ from .engine import (
     eta_sweep,
 )
 from .fit import fit_roughness, load_measurements
-from .materials import (
-    BulkMetal,
-    Composite,
-    Drude,
-    OscillatorSum,
-    PerfectReflector,
-    Plasma,
-    build_rough_plate,
-)
+from .materials import BulkMetal, OscillatorSum, PerfectReflector, build_rough_plate
 from .stack import LayerStack
 
 _MODELS = ("drude", "plasma", "two-layer", "perfect")
 _DEFAULT_MATERIAL_EV = {"plasma_frequency_eV": 8.9, "relaxation_eV": 0.0357}
+# The grammar above as types: float stands for any JSON number, a tuple lists
+# the allowed strings, and a list item's object must carry every key it names.
+_GRAMMAR = {
+    "material": {"plasma_frequency_eV": float, "relaxation_eV": float,
+                 "oscillators": [{"strength_eV2": float, "resonance_eV": float,
+                                  "damping_eV": float}]},
+    "model": str,
+    "roughness": {"h_nm": float, "f": float},
+    "temperature_K": float,
+    "zero_temperature": bool,
+    "grid": {"start_um": float, "stop_um": float, "points": int, "spacing": ("linear", "log")},
+    "engine": {"quad_rel_tol": float, "sum_rel_tol": float, "consecutive_small_terms": int,
+               "l_max": int},
+}
+# JSON types accepted for each type of the grammar, and how an error names them
+_KINDS = {float: ((int, float), "a number"), int: ((int,), "an integer"),
+          str: ((str,), "a string"), bool: ((bool,), "true or false"),
+          dict: ((dict,), "a JSON object"), list: ((list,), "a list")}
 
 
 class ConfigError(ValueError):
@@ -67,124 +77,112 @@ def _fmt(x: float) -> str:
     return f"{x:.8e}"
 
 
-def _load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
+def _resolve(args) -> argparse.Namespace:
+    """The command's inputs in one namespace: the flags, with the config file laid under them.
+
+    A flag given on the command line wins over the config.  Every config value
+    is checked against ``_GRAMMAR`` first.  ``model`` becomes the list of model
+    tokens; ``material`` (BulkMetal) and ``settings`` (EvaluationSettings) are
+    built here, once.  Nothing else reads the config file.
+    """
+    config = {}
+    if args.config is not None:
+        try:
+            config = json.loads(Path(args.config).read_text())
+        except OSError as exc:
+            raise ConfigError(f"cannot read config file: {exc}") from exc
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"malformed config file: {exc}") from exc
+        if not isinstance(config, dict):
+            raise ConfigError("config file must contain a JSON object")
+
+    def check(value, kind, name: str, required: bool = False) -> None:
+        base = kind if isinstance(kind, type) else type(kind)
+        if base is tuple:
+            ok, wanted = value in kind, " or ".join(map(json.dumps, kind))
+        else:
+            ok, wanted = type(value) in _KINDS[base][0], _KINDS[base][1]
+        if not ok:
+            raise ConfigError(f"config key {name!r} must be {wanted}, got {json.dumps(value)}")
+        if base is list:
+            for i, item in enumerate(value):
+                check(item, kind[0], f"{name}[{i}]", required=True)
+        elif base is dict:
+            for key in kind:
+                if key in value:
+                    check(value[key], kind[key], f"{name}.{key}" if name else key)
+                elif required:
+                    raise ConfigError(f"config key '{name}.{key}' is missing")
+
+    check(config, _GRAMMAR, "")
+    grid, roughness = config.get("grid", {}), config.get("roughness", {})
+    under = {"model": [config["model"]] if config.get("model") else [],
+             "h_nm": roughness.get("h_nm"), "f": roughness.get("f"),
+             "temp": config.get("temperature_K", 300.0), "dmin": grid.get("start_um"),
+             "dmax": grid.get("stop_um"), "points": grid.get("points")}
+    for name, value in under.items():
+        if getattr(args, name, None) is None:
+            setattr(args, name, value)
+    args.log = getattr(args, "log", False) or grid.get("spacing") == "log"
+
+    material = {**_DEFAULT_MATERIAL_EV, **config.get("material", {})}
+    oscillators = [(ev2_to_angular_frequency2(osc["strength_eV2"]),
+                    ev_to_angular_frequency(osc["resonance_eV"]),
+                    ev_to_angular_frequency(osc["damping_eV"]))
+                   for osc in material.get("oscillators", [])]
+    args.material = BulkMetal(ev_to_angular_frequency(material["plasma_frequency_eV"]),
+                              ev_to_angular_frequency(material["relaxation_eV"]),
+                              OscillatorSum(oscillators) if oscillators else None)
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file: {exc}") from exc
-    try:
-        config = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"malformed config file: {exc}") from exc
-    if not isinstance(config, dict):
-        raise ConfigError("config file must contain a JSON object")
-    return config
-
-
-def _material_from(config: dict) -> BulkMetal:
-    block = {**_DEFAULT_MATERIAL_EV, **config.get("material", {})}
-    oscillators = [
-        (
-            ev2_to_angular_frequency2(osc["strength_eV2"]),
-            ev_to_angular_frequency(osc["resonance_eV"]),
-            ev_to_angular_frequency(osc["damping_eV"]),
-        )
-        for osc in block.get("oscillators", [])
-    ]
-    return BulkMetal(
-        plasma_frequency=ev_to_angular_frequency(block["plasma_frequency_eV"]),
-        relaxation_frequency=ev_to_angular_frequency(block["relaxation_eV"]),
-        interband=OscillatorSum(oscillators) if oscillators else None,
-    )
-
-
-def _settings_from(config: dict, args) -> EvaluationSettings:
-    engine = dict(config.get("engine", {}))
-    temperature = args.temp if args.temp is not None else config.get("temperature_K", 300.0)
-    zero_t = bool(args.t0) or bool(config.get("zero_temperature", False))
-    try:
-        return EvaluationSettings(temperature=temperature, zero_temperature=zero_t, **engine)
+        args.settings = EvaluationSettings(
+            temperature=args.temp, zero_temperature=args.t0 or config.get("zero_temperature", False),
+            **config.get("engine", {}))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid engine settings: {exc}") from exc
+    return args
 
 
-def _parse_model_token(token: str) -> tuple[str, dict]:
+def _build_plate(args, token: str | None = None):
+    """Plate object for one model ``token``, by default the one model selector."""
+    if token is None:
+        if len(args.model) != 1:
+            raise ConfigError(
+                "exactly one model selector is required (flag --model or config key 'model')")
+        (token,) = args.model
     name, _, params_text = token.partition(":")
     if name not in _MODELS:
         raise ConfigError(f"unknown model {name!r}; choose from {', '.join(_MODELS)}")
     params = {}
-    if params_text:
-        for item in params_text.split(","):
-            key, sep, value = item.partition("=")
-            if not sep or key not in ("h_nm", "f"):
-                raise ConfigError(f"bad model parameter {item!r}; use h_nm=<x>,f=<x>")
-            try:
-                params[key] = float(value)
-            except ValueError:
-                raise ConfigError(f"bad numeric value in model parameter {item!r}") from None
-    return name, params
-
-
-def _roughness_from(config: dict, args, params: dict, required: bool):
-    block = config.get("roughness", {})
-    h_nm = params.get("h_nm", args.h_nm if args.h_nm is not None else block.get("h_nm"))
-    f = params.get("f", args.f if args.f is not None else block.get("f"))
-    if required:
-        if h_nm is None:
-            raise ConfigError("two-layer model requires key 'h_nm' (flag --h-nm)")
-        if f is None:
-            raise ConfigError("two-layer model requires key 'f' (flag --f)")
-    return h_nm, f
-
-
-def _build_plate(token: str, config: dict, args):
-    """Plate object for one model token."""
-    name, params = _parse_model_token(token)
-    material = _material_from(config)
-    interband = material.interband
+    for item in params_text.split(",") if params_text else ():
+        key, sep, value = item.partition("=")
+        if not sep or key not in ("h_nm", "f"):
+            raise ConfigError(f"bad model parameter {item!r}; use h_nm=<x>,f=<x>")
+        try:
+            params[key] = float(value)
+        except ValueError:
+            raise ConfigError(f"bad numeric value in model parameter {item!r}") from None
     if name == "perfect":
         return LayerStack((), PerfectReflector())
-    if name == "drude":
-        bulk = Drude(material.plasma_frequency, material.relaxation_frequency)
-        model = Composite((bulk, interband)) if interband else bulk
-        return LayerStack((), model)
-    if name == "plasma":
-        body = Plasma(material.plasma_frequency)
-        model = Composite((body, interband)) if interband else body
-        return LayerStack((), model)
-    h_nm, f = _roughness_from(config, args, params, required=True)
-    return build_rough_plate(
-        material.plasma_frequency, material.relaxation_frequency,
-        h_nm * 1e-9, f, interband,
-    )
+    h_nm, f = params.get("h_nm", args.h_nm), params.get("f", args.f)
+    if name != "two-layer":
+        h_nm, f = 0.0, 1.0
+    elif h_nm is None:
+        raise ConfigError("two-layer model requires key 'h_nm' (flag --h-nm)")
+    elif f is None:
+        raise ConfigError("two-layer model requires key 'f' (flag --f)")
+    material = args.material
+    plate = build_rough_plate(material.plasma_frequency, material.relaxation_frequency,
+                              h_nm * 1e-9, f, material.interband)
+    if name == "two-layer":
+        return plate
+    # the Drude plate is the rough plate's bulk, the plasma plate its surface at f = 1
+    return LayerStack((), plate.bulk if name == "drude" else plate.surface)
 
 
-def _resolve_models(args, config: dict) -> list[str]:
-    if args.model:
-        return list(args.model)
-    if config.get("model"):
-        return [config["model"]]
-    return []
-
-
-def _single_model(args, config: dict) -> str:
-    models = _resolve_models(args, config)
-    if len(models) != 1:
-        raise ConfigError("exactly one model selector is required (flag --model or config key 'model')")
-    return models[0]
-
-
-def _grid_from(config: dict, args) -> np.ndarray:
-    block = dict(config.get("grid", {}))
-    start = args.dmin if args.dmin is not None else block.get("start_um")
-    stop = args.dmax if args.dmax is not None else block.get("stop_um")
-    points = args.points if args.points is not None else block.get("points")
-    log_spacing = args.log or block.get("spacing") == "log"
+def _grid_from(args) -> np.ndarray:
+    start, stop, points = args.dmin, args.dmax, args.points
     if start is None or stop is None or points is None:
         raise ConfigError("separation grid needs --dmin, --dmax and --points (or a config grid)")
-    points = int(points)
     if points < 1:
         raise ConfigError("grid must have at least one point")
     if points > 1 and not start < stop:
@@ -193,7 +191,7 @@ def _grid_from(config: dict, args) -> np.ndarray:
         raise ConfigError("grid start must be > 0")
     if points == 1:
         return np.array([start * 1e-6])
-    if log_spacing:
+    if args.log:
         return np.geomspace(start, stop, points) * 1e-6
     return np.linspace(start, stop, points) * 1e-6
 
@@ -207,24 +205,14 @@ def _emit(lines: list[str], out_path: str | None) -> None:
 
 
 def cmd_pressure(args) -> int:
-    config = _load_config(args.config)
-    plate = _build_plate(_single_model(args, config), config, args)
-    settings = _settings_from(config, args)
-    table = eta_sweep(plate, [args.d_um * 1e-6], settings)
-    _emit(
-        ["d_um,a_m,P_Pa,eta",
-         ",".join([_fmt(args.d_um), _fmt(table.a[0]), _fmt(table.pressure[0]), _fmt(table.eta[0])])],
-        args.out,
-    )
+    table = eta_sweep(_build_plate(args), [args.d_um * 1e-6], args.settings)
+    row = [_fmt(args.d_um), _fmt(table.a[0]), _fmt(table.pressure[0]), _fmt(table.eta[0])]
+    _emit(["d_um,a_m,P_Pa,eta", ",".join(row)], args.out)
     return 0
 
 
 def cmd_sweep(args) -> int:
-    config = _load_config(args.config)
-    plate = _build_plate(_single_model(args, config), config, args)
-    settings = _settings_from(config, args)
-    d_values = _grid_from(config, args)
-    table = eta_sweep(plate, d_values, settings)
+    table = eta_sweep(_build_plate(args), _grid_from(args), args.settings)
     lines = ["d_um,a_um,P_Pa,P_id_Pa,eta"]
     for d, a, p, p_id, eta in table.rows():
         lines.append(",".join([_fmt(d * 1e6), _fmt(a * 1e6), _fmt(p), _fmt(p_id), _fmt(eta)]))
@@ -237,18 +225,13 @@ def _column_label(token: str) -> str:
 
 
 def cmd_compare(args) -> int:
-    config = _load_config(args.config)
-    tokens = _resolve_models(args, config)
+    tokens = args.model
     if len(tokens) < 2:
         raise ConfigError("compare needs at least two --model selectors")
-    settings = _settings_from(config, args)
-    d_values = _grid_from(config, args)
-    columns = []
-    for token in tokens:
-        plate = _build_plate(token, config, args)
-        columns.append(eta_sweep(plate, d_values, settings).eta)
-    stacked = np.stack(columns)
-    max_delta = stacked.max(axis=0) - stacked.min(axis=0)
+    d_values = _grid_from(args)
+    columns = [eta_sweep(_build_plate(args, token), d_values, args.settings).eta
+               for token in tokens]
+    max_delta = np.ptp(np.stack(columns), axis=0)
     lines = ["d_um," + ",".join(_column_label(t) for t in tokens) + ",max_pairwise_delta"]
     for i, d in enumerate(np.sort(d_values)):
         fields = [_fmt(d * 1e6)] + [_fmt(col[i]) for col in columns] + [_fmt(max_delta[i])]
@@ -258,15 +241,12 @@ def cmd_compare(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    config = _load_config(args.config)
-    material = _material_from(config)
-    settings = _settings_from(config, args)
+    material, settings = args.material, args.settings
     try:
         data = load_measurements(args.data)
     except OSError as exc:
         raise ConfigError(f"cannot read data file: {exc}") from exc
-    h_nm, f = _roughness_from(config, args, {}, required=False)
-    init = ((h_nm if h_nm is not None else 5.0) * 1e-9, f if f is not None else 0.8)
+    init = ((5.0 if args.h_nm is None else args.h_nm) * 1e-9, 0.8 if args.f is None else args.f)
     result = fit_roughness(data, init, material, settings.temperature, settings=settings)
 
     report = result.to_dict()
@@ -275,18 +255,13 @@ def cmd_fit(args) -> int:
                           for key, value in dataclasses.asdict(settings).items()}
     sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
 
-    plate = build_rough_plate(
-        material.plasma_frequency, material.relaxation_frequency,
-        result.h, result.f, material.interband,
-    )
+    plate = build_rough_plate(material.plasma_frequency, material.relaxation_frequency,
+                              result.h, result.f, material.interband)
     table = eta_sweep(plate, [m.d for m in data], settings)
     lines = ["d_um,eta_obs,eta_fit,residual"]
-    ordered = sorted(data, key=lambda m: m.d)
-    for i, m in enumerate(ordered):
-        lines.append(",".join([
-            _fmt(m.d * 1e6), _fmt(m.eta), _fmt(table.eta[i]), _fmt(table.eta[i] - m.eta),
-        ]))
-    Path(args.out or "fit_residuals.csv").write_text("\n".join(lines) + "\n")
+    for m, eta in zip(data, table.eta):  # both ascending in d
+        lines.append(",".join([_fmt(m.d * 1e6), _fmt(m.eta), _fmt(eta), _fmt(eta - m.eta)]))
+    _emit(lines, args.out or "fit_residuals.csv")
     return 0 if result.converged else 3
 
 
@@ -338,7 +313,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        return args.func(_resolve(args))
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -9,7 +9,7 @@ integral over both polarizations:
 with q_l = sqrt(k^2 + xi_l^2/c^2).  The k integral is evaluated in the scaled
 variable u = 2 a q_l, where the integrand decays like u^2 exp(-u) uniformly
 in l, so every Matsubara term at every gap shares one panel layout and each
-kernel call integrates up to ``_BLOCK`` (gap, xi) rows in single vectorized
+kernel call integrates a block of (gap, xi) rows in single vectorized
 operations, fed to the reflection pass as they are.  The terms fall like
 exp(-l x_1), x_1 = 2 a xi_1 / c, so each gap sums a first block sized from that
 decay rate, then blocks a quarter as long; terms beyond u = 16 start coarser.
@@ -34,7 +34,7 @@ from typing import NamedTuple, Sequence, Union
 import numpy as np
 
 from ._quad import DEFAULT_EDGES, DEFAULT_RULE, PanelRule
-from .constants import CONSTANTS, PhysicalConstants  # re-exported
+from .constants import CONSTANTS
 from .materials import RoughPlateSpec
 from .stack import LayerStack, _reflection, _static_reflection, as_layer_stack
 
@@ -44,15 +44,17 @@ Plate = Union[RoughPlateSpec, LayerStack]
 def _pin_malloc_thresholds() -> None:
     """Fix glibc's mmap and trim thresholds at 16 and 32 MB for this process.
 
-    Each kernel call allocates and frees a few MB of (rows, nodes)
-    temporaries.  Under glibc's sliding default thresholds a process returns
-    part of that memory to the OS after a call and page-faults it back in on
-    the next (200-500 minor faults per T = 0 pressure), and how much depends
-    on where long-lived objects happen to lie in the heap, so the time of one
-    T = 0 pressure differed by up to 30 % from one process to the next.
-    With fixed thresholds the freed temporaries stay in the heap for the next
-    call; the price is up to 32 MB of freed heap kept from the OS.  A no-op
-    where the C library has no ``mallopt``.
+    Every kernel call, in the finite-T sweeps and at T = 0 alike, allocates
+    and frees (rows, nodes) temporaries.  Under glibc's sliding default
+    thresholds a process may return part of that memory to the OS after a
+    call and page-fault it back in on the next, and how much depends on where
+    long-lived objects happen to lie in the heap.  Unpinned, with a few MB of
+    long-lived objects interleaved, 10 rounds of eight 300 K sweeps (four
+    plates on two 30-point grids) took 28,000-137,000 minor faults and 57-79
+    ms a round, against about 200 faults and 41-49 ms pinned (2-core x86-64
+    machine).  With fixed thresholds the freed temporaries stay in the heap
+    for the next call; the price is up to 32 MB of freed heap kept from the
+    OS.  A no-op where the C library has no ``mallopt``.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -66,7 +68,7 @@ def _pin_malloc_thresholds() -> None:
 _pin_malloc_thresholds()
 
 _MAX_REFINEMENTS = 6
-_BLOCK = 64           # rows per kernel call
+_BLOCK = 64           # rows per kernel call, more of a coarser rule
 # a gap's first block holds this many times ln(1/sum_rel_tol)/x_1 terms
 _DECAY_SAFETY = 1.2
 # a term whose u integral starts beyond u0 = 2 a xi / c = 16, at most about
@@ -248,10 +250,13 @@ def _pol_integrals_zero(stack: LayerStack, a, rule: PanelRule):
 
 
 def _integrals(stack: LayerStack, a, xi: np.ndarray, rule: PanelRule) -> np.ndarray:
-    """[te, tm, err] of the rows (a, xi), ``_BLOCK`` rows' nodes of ``DEFAULT_RULE`` per call.
+    """[te, tm, err] of the rows (a, xi), ``_BLOCK`` rows per kernel call.
 
-    The xi = 0 rows go to :func:`_pol_integrals_zero`, the others to
-    :func:`_pol_integrals`; ``a`` is per row or one gap for all rows.
+    A rule with fewer nodes than ``DEFAULT_RULE`` takes as many rows as hold
+    ``_BLOCK`` rows' nodes of it (112 of the 60-node coarse rule); a finer rule
+    keeps ``_BLOCK`` rows.  The xi = 0 rows go to :func:`_pol_integrals_zero`,
+    the others to :func:`_pol_integrals`; ``a`` is per row or one gap for all
+    rows.
     """
     a = np.broadcast_to(a, xi.shape)
     out = np.empty((3, len(xi)))
@@ -539,9 +544,9 @@ def eta_sweep(
     For a rough plate the gap is a = d - 2 h (1 - f); homogeneous plates have
     a = d.  Rows are emitted in ascending d.  At T > 0 the Matsubara sums of
     all gaps run together in waves: each wave integrates the current block of
-    every unfinished gap (each gap's blocks sized from its decay rate), at
-    most ``_BLOCK`` rows per kernel call and the xi = 0 rows of all gaps in
-    one call.  Each row equals :func:`pressure` at its gap up to the last-bit
+    every unfinished gap (each gap's blocks sized from its decay rate), in
+    the kernel calls of :func:`_integrals`, with the xi = 0 rows of all gaps
+    together.  Each row equals :func:`pressure` at its gap up to the last-bit
     rounding of the batched products.  When several gaps fail, the error of
     the smallest d is raised.  A non-finite or repeated d raises
     ``ValueError`` before any pressure is computed.

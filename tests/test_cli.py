@@ -5,8 +5,23 @@ import sys
 import numpy as np
 import pytest
 
-from lifshitz_plates import EvaluationSettings, dump_measurements, engine
+from lifshitz_plates import (
+    Composite,
+    Drude,
+    EvaluationSettings,
+    LayerStack,
+    OscillatorSum,
+    Plasma,
+    build_rough_plate,
+    dump_measurements,
+    engine,
+    eta_sweep,
+    ev2_to_angular_frequency2,
+    ev_to_angular_frequency,
+)
 from lifshitz_plates.cli import main
+
+from conftest import GOLD_GAMMA, GOLD_WP
 
 
 def run_cli(capsys, *argv):
@@ -218,3 +233,116 @@ def test_cli_import_leaves_quadpack_unloaded():
         "assert 'scipy.integrate' in sys.modules, 'not loaded by the kperp route'\n"
     )
     subprocess.run([sys.executable, "-c", script], check=True)
+
+
+def _sweep_argv(*extra):
+    return ["sweep", "--model", "drude", "--dmin", "0.5", "--dmax", "1.0", "--points", "2",
+            *extra]
+
+
+@pytest.mark.parametrize("text, fragment", [
+    (None, "cannot read config file: "),
+    ('{"model": ', "malformed config file: Expecting value"),
+    ("[1]", "config file must contain a JSON object"),
+])
+def test_unusable_config_file_is_validation_error(capsys, tmp_path, text, fragment):
+    config = tmp_path / "run.json"
+    if text is not None:
+        config.write_text(text)
+    code, out, err = run_cli(capsys, *_sweep_argv("--config", str(config)))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: " + fragment)
+
+
+@pytest.mark.parametrize("argv, fragment", [
+    (["pressure", "0.5", "--model", "gold"],
+     "unknown model 'gold'; choose from drude, plasma, two-layer, perfect"),
+    (["pressure", "0.5", "--model", "two-layer:h=11"],
+     "bad model parameter 'h=11'; use h_nm=<x>,f=<x>"),
+    (["pressure", "0.5", "--model", "two-layer:h_nm=abc,f=0.9"],
+     "bad numeric value in model parameter 'h_nm=abc'"),
+    (["pressure", "0.5", "--model", "two-layer", "--f", "0.9"],
+     "two-layer model requires key 'h_nm' (flag --h-nm)"),
+    (["sweep", "--model", "drude", "--dmin", "0.5", "--dmax", "1.0"],
+     "separation grid needs --dmin, --dmax and --points (or a config grid)"),
+    (_sweep_argv("--points", "0"), "grid must have at least one point"),
+    (["sweep", "--model", "drude", "--dmin", "1.0", "--dmax", "0.5", "--points", "2"],
+     "grid start must be below stop"),
+    (["sweep", "--model", "drude", "--dmin", "0", "--dmax", "0.5", "--points", "1"],
+     "grid start must be > 0"),
+])
+def test_bad_model_or_grid_is_validation_error(capsys, argv, fragment):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {fragment}\n")
+
+
+def test_sweep_out_writes_the_table(capsys, tmp_path):
+    code, stdout_table, _ = run_cli(capsys, *_sweep_argv())
+    assert code == 0
+    out_path = tmp_path / "sweep.csv"
+    code, out, err = run_cli(capsys, *_sweep_argv("--out", str(out_path)))
+    assert (code, out, err) == (0, "", "")
+    assert out_path.read_text() == stdout_table
+
+
+def test_config_oscillators_reach_every_metal_plate(capsys, tmp_path):
+    """A config interband term is added to the Drude, plasma and two-layer plates
+    exactly as the library adds it."""
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"material": {"oscillators": [
+        {"strength_eV2": 20.0, "resonance_eV": 3.0, "damping_eV": 0.5}]}}))
+    argv = ["compare", "--model", "drude", "--model", "plasma",
+            "--model", "two-layer:h_nm=11,f=0.9", "--dmin", "0.5", "--dmax", "1.0",
+            "--points", "2"]
+    code, out, _ = run_cli(capsys, *argv, "--config", str(config))
+    assert code == 0
+    _, rows = parse_csv(out)
+    code, bare_out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    _, bare_rows = parse_csv(bare_out)
+
+    interband = OscillatorSum([(ev2_to_angular_frequency2(20.0), ev_to_angular_frequency(3.0),
+                                ev_to_angular_frequency(0.5))])
+    spec = build_rough_plate(GOLD_WP, GOLD_GAMMA, 11e-9, 0.9, interband)
+    plates = [LayerStack((), Composite((Drude(GOLD_WP, GOLD_GAMMA), interband))),
+              LayerStack((), Composite((Plasma(GOLD_WP), interband))), spec]
+    d_values = np.array([0.5e-6, 1.0e-6])
+    for column, plate in enumerate(plates, start=1):
+        eta = eta_sweep(plate, d_values, EvaluationSettings(temperature=300.0)).eta
+        assert [row[column] for row in rows] == [float(f"{x:.8e}") for x in eta]
+        assert all(row[column] != bare[column] for row, bare in zip(rows, bare_rows))
+
+
+@pytest.mark.parametrize("config, argv, key", [
+    ({"material": {"oscillators": [{"strength_eV2": 1}]}}, ["--model", "drude"],
+     "'material.oscillators[0].resonance_eV' is missing"),
+    ({"material": {"plasma_frequency_eV": "8.9"}}, ["--model", "drude"],
+     "'material.plasma_frequency_eV' must be a number"),
+    ({"material": [1]}, ["--model", "drude"], "'material' must be a JSON object"),
+    ({"engine": [1, 2]}, ["--model", "drude"], "'engine' must be a JSON object"),
+    ({"model": 5}, [], "'model' must be a string"),
+    ({"roughness": {"h_nm": "11", "f": 0.9}}, ["--model", "two-layer"],
+     "'roughness.h_nm' must be a number"),
+], ids=["oscillator-key", "plasma-string", "material-list", "engine-list", "model-number",
+        "h-string"])
+def test_malformed_config_value_names_its_key(capsys, tmp_path, config, argv, key):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    code, out, err = run_cli(capsys, "sweep", "--dmin", "0.5", "--dmax", "1.0", "--points", "2",
+                             *argv, "--config", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: config key {key}")
+
+
+def test_config_values_below_flags(capsys, tmp_path):
+    """A flag wins over the config; config values fill the flags not given."""
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"model": "plasma", "roughness": {"h_nm": 3.0, "f": 0.5},
+                                "grid": {"start_um": 0.3, "stop_um": 1.0, "points": 3,
+                                         "spacing": "log"}}))
+    code, out, _ = run_cli(capsys, "sweep", "--config", str(path), "--model", "two-layer",
+                           "--h-nm", "11", "--dmax", "2.0")
+    assert code == 0
+    expected = run_cli(capsys, "sweep", "--model", "two-layer", "--h-nm", "11", "--f", "0.5",
+                       "--dmin", "0.3", "--dmax", "2.0", "--points", "3", "--log")
+    assert (code, out) == expected[:2]

@@ -209,6 +209,12 @@ def test_static_limits():
         Composite([Drude(GOLD_WP, GOLD_GAMMA), OscillatorSum([(4.2e31, 3.1e15, 2.4e14)])])
     )
     assert (order, amp) == (1, GOLD_WP**2 / GOLD_GAMMA)
+    # dielectrics only: the static permittivities' excesses over vacuum add
+    first, second = OscillatorSum([(4.2e31, 3.1e15, 2.4e14)]), OscillatorSum([(1e32, 1e16, 0.0)])
+    order, eps0 = static_limit(Composite([first, second]))
+    assert order == 0
+    assert eps0 == pytest.approx(
+        static_limit(first)[1] + static_limit(second)[1] - 1.0, rel=1e-15)
 
 
 def test_model_parameter_validation():
