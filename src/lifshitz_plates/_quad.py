@@ -57,11 +57,6 @@ _GAUSS_W[1:14:2] = np.concatenate([_WG[:3], [_WG[3]], _WG[2::-1]])
 DEFAULT_EDGES = np.array([0.0, 0.5, 1.5, 3.5, 7.5, 15.5, 31.5, 60.0])
 
 
-def _split_edges(edges: np.ndarray) -> np.ndarray:
-    midpoints = 0.5 * (edges[:-1] + edges[1:])
-    return np.sort(np.concatenate([edges, midpoints]))
-
-
 @dataclass(frozen=True)
 class PanelRule:
     """Kronrod nodes/weights for a fixed ladder of panel offsets.
@@ -90,7 +85,8 @@ class PanelRule:
 
     def refined(self) -> "PanelRule":
         """Rule with every panel split in half."""
-        return PanelRule.from_edges(_split_edges(self.edges))
+        e = self.edges
+        return PanelRule.from_edges(np.sort(np.concatenate([e, 0.5 * (e[:-1] + e[1:])])))
 
     def coarse(self) -> "PanelRule":
         """Rule on every other edge, the last edge kept: coarse(refined(R)) is R."""

@@ -1,7 +1,8 @@
 """Command-line front end: pressure points, reduction-factor sweeps, model
 comparisons, and roughness fits, emitted as CSV for external plotting.
 
-Configuration file (JSON; every key optional, flags override):
+Configuration file (JSON; every key optional, no other key allowed, flags
+override):
 
     {
       "material":    {"plasma_frequency_eV": 8.9, "relaxation_eV": 0.0357,
@@ -81,9 +82,10 @@ def _resolve(args) -> argparse.Namespace:
     """The command's inputs in one namespace: the flags, with the config file laid under them.
 
     A flag given on the command line wins over the config.  Every config value
-    is checked against ``_GRAMMAR`` first.  ``model`` becomes the list of model
-    tokens; ``material`` (BulkMetal) and ``settings`` (EvaluationSettings) are
-    built here, once.  Nothing else reads the config file.
+    is checked against ``_GRAMMAR`` first, and a key outside it is refused.
+    ``model`` becomes the list of model tokens; ``material`` (BulkMetal) and
+    ``settings`` (EvaluationSettings) are built here, once.  Nothing else
+    reads the config file.
     """
     config = {}
     if args.config is not None:
@@ -108,11 +110,14 @@ def _resolve(args) -> argparse.Namespace:
             for i, item in enumerate(value):
                 check(item, kind[0], f"{name}[{i}]", required=True)
         elif base is dict:
-            for key in kind:
+            for key in {**kind, **value}:
+                path = f"{name}.{key}" if name else key
+                if key not in kind:
+                    raise ConfigError(f"config key {path!r} is unknown")
                 if key in value:
-                    check(value[key], kind[key], f"{name}.{key}" if name else key)
+                    check(value[key], kind[key], path)
                 elif required:
-                    raise ConfigError(f"config key '{name}.{key}' is missing")
+                    raise ConfigError(f"config key {path!r} is missing")
 
     check(config, _GRAMMAR, "")
     grid, roughness = config.get("grid", {}), config.get("roughness", {})
@@ -137,7 +142,7 @@ def _resolve(args) -> argparse.Namespace:
         args.settings = EvaluationSettings(
             temperature=args.temp, zero_temperature=args.t0 or config.get("zero_temperature", False),
             **config.get("engine", {}))
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"invalid engine settings: {exc}") from exc
     return args
 

@@ -16,7 +16,10 @@ decay rate, then blocks a quarter as long; terms beyond u = 16 start coarser.
 All gaps of a sweep are summed together in waves: one wave integrates the
 current block of every unfinished gap, the xi = 0 rows of all gaps in one
 call, and then runs each gap's stopping rule.  Those blocks and the T = 0
-frequencies share one vectorized refinement rule.  An independent integration
+frequencies share one vectorized refinement rule.  Every driver (the waves,
+the T = 0 integral) hands its rows to _refined_integrals, the only code that
+makes kernel calls: _pol_integrals (xi > 0) or _pol_integrals_zero (xi = 0),
+both feeding _panel_sums.  An independent integration
 route in the raw k variable (scipy QUADPACK) runs through the same waves as
 an internal cross-check.
 
@@ -171,8 +174,9 @@ class SweepTable:
 def matsubara_frequency(l, temperature: float):
     """xi_l = 2 pi k_B T l / hbar (rad/s); l may be an integer array."""
     l_arr = np.asarray(l)
-    if np.any(l_arr < 0):
-        raise ValueError("Matsubara index must be >= 0")
+    ok = (l_arr >= 0) & (l_arr < math.inf) & (np.floor(l_arr) == l_arr)
+    if not ok.all():
+        raise ValueError(f"Matsubara index must be an integer >= 0, got {l_arr[~ok][0]}")
     if not temperature > 0.0:
         raise ValueError("temperature must be > 0")
     xi = 2.0 * np.pi * CONSTANTS.k_B * temperature * l_arr / CONSTANTS.hbar
@@ -249,27 +253,6 @@ def _pol_integrals_zero(stack: LayerStack, a, rule: PanelRule):
     return _panel_sums(rule.nodes * rule.nodes, 0.0, rule, _static_reflection(stack, U, a))
 
 
-def _integrals(stack: LayerStack, a, xi: np.ndarray, rule: PanelRule) -> np.ndarray:
-    """[te, tm, err] of the rows (a, xi), ``_BLOCK`` rows per kernel call.
-
-    A rule with fewer nodes than ``DEFAULT_RULE`` takes as many rows as hold
-    ``_BLOCK`` rows' nodes of it (112 of the 60-node coarse rule); a finer rule
-    keeps ``_BLOCK`` rows.  The xi = 0 rows go to :func:`_pol_integrals_zero`,
-    the others to :func:`_pol_integrals`; ``a`` is per row or one gap for all
-    rows.
-    """
-    a = np.broadcast_to(a, xi.shape)
-    out = np.empty((3, len(xi)))
-    zero = xi == 0.0
-    step = max(_BLOCK, _BLOCK * len(DEFAULT_RULE.nodes) // len(rule.nodes))
-    for rows in (np.flatnonzero(zero), np.flatnonzero(~zero)):
-        for start in range(0, len(rows), step):
-            i = rows[start:start + step]
-            out[:, i] = (_pol_integrals_zero(stack, a[i], rule) if zero[i[0]]
-                         else _pol_integrals(stack, a[i], xi[i], rule))
-    return out
-
-
 def _refined_integrals(stack, a, xi, edges, hints, rule, quad_rel_tol, coarse=False):
     """[te, tm, err] of the rows (a, xi), grouped by ``edges``, refined group by group.
 
@@ -278,18 +261,30 @@ def _refined_integrals(stack, a, xi, edges, hints, rule, quad_rel_tol, coarse=Fa
     Kronrod-Gauss estimate is <= 0.25 ``quad_rel_tol`` max(|hints[i]|,
     |te + tm summed over the group|); only the rows of the groups that miss
     it are integrated again, each one level finer than before, at most
-    ``_MAX_REFINEMENTS`` times.  Returns (values, missed, estimate, target),
-    the last three per group as of the last rules tried.
+    ``_MAX_REFINEMENTS`` times.  A pass integrates the coarse rows, then the
+    others, each first at xi = 0 (:func:`_pol_integrals_zero`), then at
+    xi > 0 (:func:`_pol_integrals`), ascending, ``_BLOCK`` rows a kernel call
+    or as many as hold their nodes (112 of the 60-node coarse rule).  Returns
+    (values, missed, estimate, target), the last three per group as of the
+    last rules tried.
     """
     a = np.broadcast_to(a, xi.shape)
-    coarse = np.broadcast_to(coarse, xi.shape)
+    # kernel call order: coarse xi = 0, coarse xi > 0, xi = 0, xi > 0
+    kind = 2 * ~np.broadcast_to(coarse, xi.shape) + (xi != 0.0)
     values = np.empty((3, len(xi)))
     rows = np.arange(len(xi))
-    rules = (rule.coarse() if coarse.any() else None, rule)  # coarse(refined(R)) is R
+    rules = (rule.coarse() if (kind < 2).any() else None, rule)  # coarse(refined(R)) is R
     for _ in range(_MAX_REFINEMENTS + 1):
-        for level_rule, i in zip(rules, (rows[coarse[rows]], rows[~coarse[rows]])):
-            if len(i):
-                values[:, i] = _integrals(stack, a[i], xi[i], level_rule)
+        for k in range(4):
+            i = rows[kind[rows] == k]
+            if not len(i):
+                continue
+            level_rule = rules[k // 2]
+            step = max(_BLOCK, _BLOCK * len(DEFAULT_RULE.nodes) // len(level_rule.nodes))
+            for start in range(0, len(i), step):
+                j = i[start:start + step]
+                values[:, j] = (_pol_integrals(stack, a[j], xi[j], level_rule) if k % 2
+                                else _pol_integrals_zero(stack, a[j], level_rule))
         te, tm, estimate = np.add.reduceat(values, edges[:-1], axis=1)
         scale = np.maximum(np.abs(hints), np.abs(te + tm))
         target = 0.25 * quad_rel_tol * scale
@@ -474,28 +469,10 @@ def matsubara_pressure_term(
     """
     settings = settings or EvaluationSettings()
     _check_gap(a)
-    if l < 0:
-        raise ValueError("Matsubara index must be >= 0")
     te, tm = _block_terms_scaled(as_layer_stack(plate), a, [l], settings.temperature,
                                  settings.quad_rel_tol, 0.0)
     prefactor = (0.5 if l == 0 else 1.0) * _pressure_prefactor(a, settings.temperature)
     return PolarizedTerm(te=prefactor * float(te[0]), tm=prefactor * float(tm[0]))
-
-
-def _t0_integrand(stack: LayerStack, a: float, v: np.ndarray, quad_rel_tol: float) -> np.ndarray:
-    """Sum over polarizations of the u integrals at each v = 2 a xi / c (> 0).
-
-    Each frequency is one group of :func:`_refined_integrals` with no scale
-    hint: it meets err <= 0.25 quad_rel_tol |F(v)|, else only it is refined.
-    """
-    xi = (0.5 * CONSTANTS.c / a) * v
-    values, missed, estimate, target = _refined_integrals(
-        stack, a, xi, np.arange(len(v) + 1), 0.0, _T0_INNER_RULE, quad_rel_tol)
-    if missed.any():
-        i = max(np.flatnonzero(missed), key=lambda j: estimate[j] / target[j])
-        raise QuadratureBudgetError(
-            a, f"xi = {xi[i]:.6e} rad/s (v = 2 a xi / c = {v[i]:.6e})", estimate[i], target[i])
-    return values[0] + values[1]
 
 
 def pressure_zero_temperature(
@@ -509,9 +486,11 @@ def pressure_zero_temperature(
     Gauss-Kronrod panel rule on [0, 60] graded towards v = 0, every node's u
     integral one row of a vectorized block.  The v integral is accepted when
     its Kronrod-Gauss estimate is <= ``quad_rel_tol`` times its value (else
-    every v panel is split), each u integral as in :func:`_t0_integrand`.
-    The open rules never sample v = 0.  Raises :class:`QuadratureBudgetError`
-    when either check still fails after ``_MAX_REFINEMENTS`` splits.
+    every v panel is split).  Each u integral is one group of
+    :func:`_refined_integrals` with no scale hint: it meets err <= 0.25
+    quad_rel_tol |F(v)|, else only it is refined.  The open rules never
+    sample v = 0.  Raises :class:`QuadratureBudgetError` when either check
+    still fails after ``_MAX_REFINEMENTS`` splits.
     """
     settings = settings or EvaluationSettings()
     _check_gap(a)
@@ -519,19 +498,20 @@ def pressure_zero_temperature(
     tol = settings.quad_rel_tol
     rule = _T0_OUTER_RULE
     for _ in range(_MAX_REFINEMENTS + 1):
-        f = _t0_integrand(stack, a, rule.nodes, tol)
-        val, err = (f @ rule.weights).tolist()
+        v = rule.nodes
+        xi = (0.5 * CONSTANTS.c / a) * v
+        values, missed, estimate, target = _refined_integrals(
+            stack, a, xi, np.arange(len(v) + 1), 0.0, _T0_INNER_RULE, tol)
+        if missed.any():
+            i = max(np.flatnonzero(missed), key=lambda j: estimate[j] / target[j])
+            raise QuadratureBudgetError(
+                a, f"xi = {xi[i]:.6e} rad/s (v = 2 a xi / c = {v[i]:.6e})", estimate[i], target[i])
+        val, err = ((values[0] + values[1]) @ rule.weights).tolist()
         err = abs(err)
         if err <= tol * abs(val) or val == 0.0:
             return CONSTANTS.hbar * CONSTANTS.c / (32.0 * math.pi**2 * a**4) * val
         rule = rule.refined()
     raise QuadratureBudgetError(a, "integral over v = 2 a xi / c in [0, 60]", err, tol * abs(val))
-
-
-def _plate_offsets(plate: Plate) -> tuple[float, float]:
-    if isinstance(plate, RoughPlateSpec):
-        return plate.layer_thickness, plate.fill_factor
-    return 0.0, 1.0
 
 
 def eta_sweep(
@@ -545,9 +525,9 @@ def eta_sweep(
     a = d.  Rows are emitted in ascending d.  At T > 0 the Matsubara sums of
     all gaps run together in waves: each wave integrates the current block of
     every unfinished gap (each gap's blocks sized from its decay rate), in
-    the kernel calls of :func:`_integrals`, with the xi = 0 rows of all gaps
-    together.  Each row equals :func:`pressure` at its gap up to the last-bit
-    rounding of the batched products.  When several gaps fail, the error of
+    the kernel calls of :func:`_refined_integrals`, with the xi = 0 rows of
+    all gaps together.  Each row equals :func:`pressure` at its gap up to the
+    last-bit rounding of the batched products.  When several gaps fail, the error of
     the smallest d is raised.  A non-finite or repeated d raises
     ``ValueError`` before any pressure is computed.
     """
@@ -560,7 +540,8 @@ def eta_sweep(
     if len(repeated):
         raise ValueError(f"separations must be distinct; d = {repeated[0]:.6e} m "
                          "appears more than once")
-    h, f = _plate_offsets(plate)
+    h, f = ((plate.layer_thickness, plate.fill_factor) if isinstance(plate, RoughPlateSpec)
+            else (0.0, 1.0))
     a_col = np.empty_like(d_sorted)
     pid_col = np.empty_like(d_sorted)
     for i, d in enumerate(d_sorted):

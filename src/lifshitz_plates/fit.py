@@ -45,12 +45,9 @@ class Measurement:
     sigma: float = 1.0
 
     def __post_init__(self) -> None:
-        if not self.d > 0.0:
-            raise ValueError("d must be > 0")
-        if not self.eta > 0.0:
-            raise ValueError("eta must be > 0")
-        if not self.sigma > 0.0:
-            raise ValueError("sigma must be > 0")
+        for name in ("d", "eta", "sigma"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be > 0 and finite, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -236,8 +233,11 @@ def fit_roughness(
     """
     if not data:
         raise ValueError("no measurements")
-    if not h_max > 0.0:
-        raise ValueError("h_max must be > 0")
+    if not 0.0 < h_max < math.inf:
+        raise ValueError(f"h_max must be > 0 and finite, got {h_max}")
+    h_scale = h_scale or max(h_max / 10.0, 1e-9)
+    if not 0.0 < h_scale < math.inf:
+        raise ValueError(f"h_scale must be > 0 and finite, got {h_scale}")
     h0, f0 = init
     if not 0.0 <= h0 <= h_max:
         raise ValueError("initial h must lie in [0, h_max]")
@@ -256,7 +256,6 @@ def fit_roughness(
             "degenerate fit: one observation cannot determine the two parameters (h, f)",
             stacklevel=2,
         )
-    h_scale = h_scale or max(h_max / 10.0, 1e-9)
     noise = settings.quad_rel_tol * math.hypot(*(m.eta / m.sigma for m in data))
     step = math.sqrt(settings.quad_rel_tol)
 

@@ -40,10 +40,12 @@ class Drude:
     relaxation_frequency: float  # rad/s
 
     def __post_init__(self) -> None:
-        if not self.plasma_frequency > 0.0:
-            raise ValueError("Drude plasma frequency must be > 0")
-        if self.relaxation_frequency < 0.0:
-            raise ValueError("Drude relaxation frequency must be >= 0")
+        if not 0.0 < self.plasma_frequency < math.inf:
+            raise ValueError("Drude plasma frequency must be > 0 and finite, "
+                             f"got {self.plasma_frequency}")
+        if not 0.0 <= self.relaxation_frequency < math.inf:
+            raise ValueError("Drude relaxation frequency must be >= 0 and finite, "
+                             f"got {self.relaxation_frequency}")
 
 
 @dataclass(frozen=True)
@@ -53,8 +55,9 @@ class Plasma:
     plasma_frequency: float  # rad/s
 
     def __post_init__(self) -> None:
-        if not self.plasma_frequency > 0.0:
-            raise ValueError("plasma frequency must be > 0")
+        if not 0.0 < self.plasma_frequency < math.inf:
+            raise ValueError("plasma frequency must be > 0 and finite, "
+                             f"got {self.plasma_frequency}")
 
 
 @dataclass(frozen=True)
@@ -66,12 +69,12 @@ class Oscillator:
     damping: float    # rad/s
 
     def __post_init__(self) -> None:
-        if self.strength < 0.0:
-            raise ValueError("oscillator strength must be >= 0")
-        if not self.resonance > 0.0:
-            raise ValueError("oscillator resonance must be > 0")
-        if self.damping < 0.0:
-            raise ValueError("oscillator damping must be >= 0")
+        if not 0.0 <= self.strength < math.inf:
+            raise ValueError(f"oscillator strength must be >= 0 and finite, got {self.strength}")
+        if not 0.0 < self.resonance < math.inf:
+            raise ValueError(f"oscillator resonance must be > 0 and finite, got {self.resonance}")
+        if not 0.0 <= self.damping < math.inf:
+            raise ValueError(f"oscillator damping must be >= 0 and finite, got {self.damping}")
 
 
 @dataclass(frozen=True)
@@ -218,8 +221,8 @@ class RoughPlateSpec:
     fill_factor: float      # dimensionless
 
     def __post_init__(self) -> None:
-        if self.layer_thickness < 0.0:
-            raise ValueError("layer thickness must be >= 0")
+        if not 0.0 <= self.layer_thickness < math.inf:
+            raise ValueError(f"layer thickness must be >= 0 and finite, got {self.layer_thickness}")
         if not 0.0 < self.fill_factor <= 1.0:
             raise ValueError("fill factor must lie in (0, 1]")
         bulk_w = _find_plasma_frequency(self.bulk, Drude)

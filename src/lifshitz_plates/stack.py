@@ -61,8 +61,8 @@ class LayerStack:
         for model, thickness in layers:
             if isinstance(model, PerfectReflector):
                 raise ValueError("PerfectReflector cannot be a finite-thickness layer")
-            if thickness < 0.0:
-                raise ValueError("layer thickness must be >= 0")
+            if not 0.0 <= thickness < np.inf:
+                raise ValueError(f"layer thickness must be >= 0 and finite, got {thickness}")
             if thickness > 0.0:
                 kept.append((model, float(thickness)))
         object.__setattr__(self, "layers", tuple(kept))

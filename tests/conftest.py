@@ -14,6 +14,7 @@ from lifshitz_plates import (
     eta_sweep,
     ev_to_angular_frequency,
 )
+from lifshitz_plates import engine
 
 # property tests replay the same examples on every run, with no timing limit
 hypothesis.settings.register_profile("derandomized", derandomize=True, deadline=None)
@@ -47,6 +48,22 @@ def perfect_stack():
 @pytest.fixture(scope="session")
 def rough_plate():
     return build_rough_plate(GOLD_WP, GOLD_GAMMA, 11e-9, 0.9)
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Record every panel-kernel call, ``engine._pol_integrals`` and
+    ``engine._pol_integrals_zero`` alike, as (gaps, rows, nodes): the set of
+    its rows' gaps, its number of rows and its rule's node count."""
+    calls = []
+    for name in ("_pol_integrals", "_pol_integrals_zero"):
+        def recording(stack, a, *args, _original=getattr(engine, name)):
+            out = _original(stack, a, *args)
+            calls.append((set(np.ravel(a).tolist()), len(out[0]), len(args[-1].nodes)))
+            return out
+
+        monkeypatch.setattr(engine, name, recording)
+    return calls
 
 
 @pytest.fixture(scope="session")

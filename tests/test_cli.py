@@ -270,6 +270,10 @@ def test_unusable_config_file_is_validation_error(capsys, tmp_path, text, fragme
      "grid start must be below stop"),
     (["sweep", "--model", "drude", "--dmin", "0", "--dmax", "0.5", "--points", "1"],
      "grid start must be > 0"),
+    (["pressure", "0.5", "--model", "two-layer", "--h-nm", "nan", "--f", "0.9"],
+     "layer thickness must be >= 0 and finite, got nan"),
+    (["pressure", "0.5", "--model", "two-layer", "--h-nm", "inf", "--f", "0.9"],
+     "layer thickness must be >= 0 and finite, got inf"),
 ])
 def test_bad_model_or_grid_is_validation_error(capsys, argv, fragment):
     code, out, err = run_cli(capsys, *argv)
@@ -323,8 +327,15 @@ def test_config_oscillators_reach_every_metal_plate(capsys, tmp_path):
     ({"model": 5}, [], "'model' must be a string"),
     ({"roughness": {"h_nm": "11", "f": 0.9}}, ["--model", "two-layer"],
      "'roughness.h_nm' must be a number"),
+    ({"temprature_K": 10}, ["--model", "drude"], "'temprature_K' is unknown"),
+    ({"grid": {"start_um": 0.5, "stop": 1.0}}, ["--model", "drude"], "'grid.stop' is unknown"),
+    ({"engine": {"quad_tol": 1e-9}}, ["--model", "drude"], "'engine.quad_tol' is unknown"),
+    ({"material": {"oscillators": [{"strength_eV2": 1.0, "resonance_eV": 3.0,
+                                    "damping_eV": 0.5, "width_eV": 1.0}]}},
+     ["--model", "drude"], "'material.oscillators[0].width_eV' is unknown"),
 ], ids=["oscillator-key", "plasma-string", "material-list", "engine-list", "model-number",
-        "h-string"])
+        "h-string", "unknown-top-level", "unknown-nested", "unknown-engine",
+        "unknown-oscillator-key"])
 def test_malformed_config_value_names_its_key(capsys, tmp_path, config, argv, key):
     path = tmp_path / "run.json"
     path.write_text(json.dumps(config))

@@ -58,6 +58,17 @@ def test_matsubara_frequency_domain():
         matsubara_frequency(1, 0.0)
 
 
+@pytest.mark.parametrize("l", [1.5, math.nan, math.inf])
+def test_matsubara_index_must_be_an_integer(drude_stack, l):
+    """A non-integer index is refused, not evaluated at l xi_1."""
+    message = f"^Matsubara index must be an integer >= 0, got {l}$"
+    with pytest.raises(ValueError, match=message):
+        matsubara_frequency(l, 300.0)
+    with pytest.raises(ValueError, match=message):
+        matsubara_pressure_term(drude_stack, 500e-9, l)
+    assert matsubara_frequency(2.0, 300.0) == matsubara_frequency(2, 300.0)
+
+
 def test_ideal_pressure_values():
     p_1um = ideal_pressure(1e-6)
     assert p_1um == pytest.approx(1.3001e-3, rel=1e-4)
@@ -328,32 +339,18 @@ def test_eta_sweep_rejects_repeated_separation_up_front(monkeypatch, drude_stack
 SWEEP_GRID = np.geomspace(0.1e-6, 5e-6, 12)
 
 
-def _kernel_levels(monkeypatch):
-    """Record, per ``engine._integrals`` call, its rows' gaps and the rule's node count."""
-    seen = []
-    original = engine._integrals
-
-    def recording(stack, a, xi, rule):
-        seen.append((set(np.broadcast_to(a, xi.shape).tolist()), len(rule.nodes)))
-        return original(stack, a, xi, rule)
-
-    monkeypatch.setattr(engine, "_integrals", recording)
-    return seen
-
-
 @pytest.mark.parametrize("quad_rel_tol", [1e-9, 5e-10, 1e-12])
 @pytest.mark.parametrize("plate_name", ["perfect_stack", "drude_stack", "rough_plate"])
 def test_eta_sweep_rows_match_single_gap_pressure(plate_name, quad_rel_tol, request,
-                                                  monkeypatch):
+                                                  kernel_calls):
     """The sweep's waves give every row the pressure() value at its gap, to
     the last-bit rounding of the batched products; at 5e-10 only some of this
     grid's gaps refine their first block."""
     plate = request.getfixturevalue(plate_name)
     settings = EvaluationSettings(temperature=300.0, quad_rel_tol=quad_rel_tol)
-    seen = _kernel_levels(monkeypatch)
     table = eta_sweep(plate, SWEEP_GRID, settings)
     if quad_rel_tol == 5e-10:
-        refined = set().union(*(gaps for gaps, nodes in seen
+        refined = set().union(*(gaps for gaps, _, nodes in kernel_calls
                                 if nodes > len(engine.DEFAULT_RULE.nodes)))
         assert 0 < len(refined) < len(SWEEP_GRID)
     single = np.array([pressure(plate, a, settings) for a in table.a])
@@ -395,32 +392,24 @@ def test_sweep_kernel_call_counts(monkeypatch, rough_plate, settings300):
     assert calls["_static_reflection"] == 1
 
 
-def test_missed_block_refines_both_levels(monkeypatch, rough_plate):
+def test_missed_block_refines_both_levels(kernel_calls, rough_plate):
     """A block whose tail rows (u0 > 16) start on the coarse rule misses a
     1e-14 target: its coarse rows move to the default rule while the others
-    move to the refined one, in the same pass."""
-    seen = _kernel_levels(monkeypatch)
+    move to the refined one, in the same pass.  Each level's rows fit one
+    kernel call."""
     ls = np.arange(1, 100)
     assert 2.0 * 162e-9 * matsubara_frequency(ls[-1], 300.0) / CONSTANTS.c > engine._COARSE_FROM
     engine._wave_terms(as_layer_stack(rough_plate), np.array([162e-9]), [ls], 300.0, 1e-14, [0.0])
-    assert [nodes for _, nodes in seen[:4]] == [60, 105, 105, 210]
+    assert [nodes for _, _, nodes in kernel_calls[:4]] == [60, 105, 105, 210]
 
 
-def test_sweep_work_budget(monkeypatch, rough_plate, settings300):
+def test_sweep_work_budget(kernel_calls, rough_plate, settings300):
     """A 30-point 300 K rough-plate sweep integrates at most 131,910 row-nodes:
     the work of its first waves with the tail terms (u0 > 16) on the coarse
     rule and no refinement, a count that does not drift with the machine.
     With every row on the default rule it was 168,000."""
-    work = []
-    original = engine._integrals
-
-    def counted(stack, a, xi, rule):
-        work.append(len(xi) * len(rule.nodes))
-        return original(stack, a, xi, rule)
-
-    monkeypatch.setattr(engine, "_integrals", counted)
     eta_sweep(rough_plate, np.linspace(162e-9, 746e-9, 30), settings300)
-    assert sum(work) <= 131_910
+    assert sum(rows * nodes for _, rows, nodes in kernel_calls) <= 131_910
 
 
 def _k_perp_route_integrals(stack, a, xi, rule):

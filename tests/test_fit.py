@@ -1,4 +1,5 @@
 import io
+import math
 
 import numpy as np
 import pytest
@@ -89,6 +90,18 @@ def test_measurement_validation():
         Measurement(1e-7, 0.0)
     with pytest.raises(ValueError):
         Measurement(1e-7, 0.5, 0.0)
+
+
+@pytest.mark.parametrize("field", ["d", "eta", "sigma"])
+def test_non_finite_measurement_is_refused(field):
+    values = {"d": 1e-7, "eta": 0.5, "sigma": 1.0, field: math.inf}
+    with pytest.raises(ValueError, match=f"^{field} must be > 0 and finite, got inf$"):
+        Measurement(**values)
+
+
+def test_load_refuses_infinite_separation():
+    with pytest.raises(ValueError, match="^line 3: d must be > 0 and finite, got inf$"):
+        load_measurements("d_um,eta\n0.2,0.5\ninf,0.6\n")
 
 
 def test_objective_zero_at_truth(synthesize, gold):
@@ -229,6 +242,22 @@ def test_fit_validates_init(synthesize, gold):
         fit_roughness(data, (0.0, 0.9), gold, 300.0, h_max=0.0)
     with pytest.raises(ValueError, match="no measurements"):
         fit_roughness([], (11e-9, 0.9), gold, 300.0)
+
+
+@pytest.mark.parametrize("name, value", [("h_max", math.inf), ("h_scale", math.inf),
+                                         ("h_scale", math.nan), ("h_scale", -1e-9)])
+def test_fit_refuses_non_finite_or_negative_scales(synthesize, gold, monkeypatch, name, value):
+    """An infinite h_max, or an h_scale that is not a positive finite length, is
+    refused before any evaluation; a negative h_scale reported a converged fit
+    at (h_max, 1) on data made at (11 nm, 0.9)."""
+    data = synthesize(11e-9, 0.9, np.linspace(200e-9, 700e-9, 4))
+
+    def fail(*args, **kwargs):
+        raise AssertionError("residuals evaluated")
+
+    monkeypatch.setattr(fit_module, "residuals", fail)
+    with pytest.raises(ValueError, match=f"^{name} must be > 0 and finite, got {value}$"):
+        fit_roughness(data, (5e-9, 0.8), gold, 300.0, **{name: value})
 
 
 def test_fit_rejects_infeasible_start(synthesize, gold, monkeypatch):

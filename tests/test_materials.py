@@ -230,3 +230,31 @@ def test_model_parameter_validation():
         Oscillator(1e30, 0.0, 0.0)
     with pytest.raises(ValueError):
         Composite([PerfectReflector()])
+
+
+@pytest.mark.parametrize("build, name", [
+    (lambda: Drude(math.inf, GOLD_GAMMA), "Drude plasma frequency"),
+    (lambda: Drude(GOLD_WP, math.nan), "Drude relaxation frequency"),
+    (lambda: Plasma(math.inf), "plasma frequency"),
+    (lambda: Oscillator(math.nan, 1e15, 0.0), "oscillator strength"),
+    (lambda: Oscillator(1e30, math.inf, 0.0), "oscillator resonance"),
+    (lambda: Oscillator(1e30, 1e15, math.nan), "oscillator damping"),
+    (lambda: OscillatorSum([(1e30, 1e15, math.nan)]), "oscillator damping"),
+], ids=["drude-plasma-inf", "drude-relaxation-nan", "plasma-inf", "strength-nan",
+        "resonance-inf", "damping-nan", "sum-damping-nan"])
+def test_non_finite_model_parameters_are_refused(build, name):
+    """A NaN or infinite model parameter is refused where the model is built,
+    not later as a quadrature failure."""
+    with pytest.raises(ValueError, match=f"^{name} must be .* and finite, got (nan|inf)$"):
+        build()
+
+
+@pytest.mark.parametrize("h", [math.nan, math.inf])
+def test_non_finite_rough_layer_thickness_is_refused(h):
+    """A NaN or infinite h is refused by the rough-plate spec, also through
+    build_rough_plate, instead of failing inside a sweep."""
+    message = f"^layer thickness must be >= 0 and finite, got {h}$"
+    with pytest.raises(ValueError, match=message):
+        build_rough_plate(GOLD_WP, GOLD_GAMMA, h, 0.9)
+    with pytest.raises(ValueError, match=message):
+        RoughPlateSpec(Drude(GOLD_WP, GOLD_GAMMA), Plasma(GOLD_WP), h, 1.0)

@@ -243,6 +243,15 @@ def test_stack_construction_rules():
     assert dropped.layers == ()
 
 
+@pytest.mark.parametrize("thickness", [math.nan, math.inf])
+def test_non_finite_layer_thickness_is_refused(thickness):
+    """A NaN layer is not dropped (which would leave the bare substrate) and
+    an infinite one is not kept: both are refused."""
+    with pytest.raises(ValueError,
+                       match=f"^layer thickness must be >= 0 and finite, got {thickness}$"):
+        LayerStack(((Plasma(GOLD_WP), thickness),), Drude(GOLD_WP, GOLD_GAMMA))
+
+
 def test_kinematic_point_validation():
     with pytest.raises(ValueError):
         KinematicPoint(-1.0, 1e6)

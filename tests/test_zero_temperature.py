@@ -68,19 +68,16 @@ def test_refinement_budget_exhaustion_raises(monkeypatch, drude_stack):
 
 
 
-def test_only_missed_frequencies_are_refined(monkeypatch, drude_stack):
+def test_only_missed_frequencies_are_refined(kernel_calls, drude_stack):
     """At the default tolerance every outer frequency is integrated once on the
     inner rule, and only the few that miss their target again on a refined one."""
-    seen = []
-    original = engine._integrals
-
-    def recording(stack, a, xi, rule):
-        seen.append((len(xi), len(rule.nodes)))
-        return original(stack, a, xi, rule)
-
-    monkeypatch.setattr(engine, "_integrals", recording)
     pressure_zero_temperature(drude_stack, 162e-9, EvaluationSettings(zero_temperature=True))
-    (rows, nodes), refined = seen[0], seen[1:]
-    assert (rows, nodes) == (len(engine._T0_OUTER_RULE.nodes), len(engine._T0_INNER_RULE.nodes))
+    inner = len(engine._T0_INNER_RULE.nodes)
+    first = next((k for k, (_, _, nodes) in enumerate(kernel_calls) if nodes != inner),
+                 len(kernel_calls))
+    assert sum(rows for _, rows, _ in kernel_calls[:first]) == len(engine._T0_OUTER_RULE.nodes)
+    refined = {}
+    for _, rows, nodes in kernel_calls[first:]:
+        refined[nodes] = refined.get(nodes, 0) + rows
     assert refined
-    assert all(0 < r < rows and n > nodes for r, n in refined)
+    assert all(n > inner and 0 < r < len(engine._T0_OUTER_RULE.nodes) for n, r in refined.items())
