@@ -132,10 +132,11 @@ class EvaluationSettings:
             tol = getattr(self, name)
             if not 0.0 < tol <= 1e-3:
                 raise ValueError(f"{name} must lie in (0, 1e-3]")
-        if self.consecutive_small_terms < 1:
-            raise ValueError("consecutive_small_terms must be >= 1")
-        if self.l_max < 1:
-            raise ValueError("l_max must be >= 1")
+        for name in ("consecutive_small_terms", "l_max"):  # integral floats pass, as ints
+            count = getattr(self, name)
+            if not (1 <= count < math.inf and math.floor(count) == count):
+                raise ValueError(f"{name} must be an integer >= 1, got {count}")
+            object.__setattr__(self, name, int(count))
         if not math.isfinite(self.temperature):
             raise ValueError(f"temperature must be finite, got {self.temperature}")
         if not self.zero_temperature and not self.temperature > 0.0:

@@ -6,7 +6,10 @@ chi^2 = |r|^2 is minimized by projected Levenberg-Marquardt in
 x = (h / h_scale, f).  Every point tried lies in the parameter domain and
 inside the feasibility bound 2 h (1 - f) < min(d), so every gap
 a = d - 2 h (1 - f) is positive.  A second run from a fixed start escapes
-the basin near f -> 0, where the layer acts almost like vacuum.
+the basin near f -> 0, where the layer acts almost like vacuum.  Where the
+process may fork, may use two CPUs and runs one Python thread, that run goes
+to a forked child while the first runs here; the result is bit-identical to
+running both here, one after the other.
 """
 
 from __future__ import annotations
@@ -15,6 +18,10 @@ import contextlib
 import csv
 import io
 import math
+import os
+import pickle
+import sys
+import threading
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -227,14 +234,26 @@ def fit_roughness(
     engine refuses with a typed error is rejected; such an error at ``init``
     propagates, and at the fixed start drops that run.  ``converged`` means
     the kept run passed a step and a gradient test set against eta's own
-    noise, ``quad_rel_tol`` relative.  ``max_evaluations`` counts residual
-    evaluations of both runs; when it runs out the best point so far is
-    returned with ``converged=False``.
+    noise, ``quad_rel_tol`` relative.  ``max_evaluations``, an integer >= 3,
+    counts residual evaluations of both runs; when it runs out the best point
+    so far is returned with ``converged=False``.
+
+    The fixed-start run goes to a child made by ``os.fork`` while the first
+    run goes on here, unless fork or ``os.sched_getaffinity`` is missing, this
+    process may use one CPU only, another Python thread is alive, or the
+    second run cannot start (the starts coincide or ``max_evaluations`` < 6).
+    Either way the result is bit-identical: the child's run is used only
+    where the in-order one would have gone the same way, and is repeated
+    here otherwise, as it is when it raised or warned.  The child is killed
+    and reaped before the call returns or raises; one that exits without a
+    result raises ``RuntimeError``.
     """
     if not data:
         raise ValueError("no measurements")
     if not 0.0 < h_max < math.inf:
         raise ValueError(f"h_max must be > 0 and finite, got {h_max}")
+    if not (3 <= max_evaluations < math.inf and math.floor(max_evaluations) == max_evaluations):
+        raise ValueError(f"max_evaluations must be an integer >= 3, got {max_evaluations}")
     h_scale = h_scale or max(h_max / 10.0, 1e-9)
     if not 0.0 < h_scale < math.inf:
         raise ValueError(f"h_scale must be > 0 and finite, got {h_scale}")
@@ -264,21 +283,46 @@ def fit_roughness(
         h_top = h_max if f == 1.0 else min(h_max, (1.0 - _MARGIN) * d_min / (2.0 * (1.0 - f)))
         return np.array([min(max(x[0], 0.0), h_top / h_scale), f])
 
-    evaluations = 0
+    def run_from(x, limit, dropped=()):
+        """LM from ``x`` within ``limit`` evaluations: (run, evaluations, least
+        budget() returned); run is None when it raised one of ``dropped``."""
+        count, least = 0, math.inf
 
-    def residual(x):
-        nonlocal evaluations
-        evaluations += 1
-        return residuals(x[0] * h_scale, x[1], data, material, temperature, settings)
+        def residual(y):
+            nonlocal count
+            count += 1
+            return residuals(y[0] * h_scale, y[1], data, material, temperature, settings)
 
-    def budget():
-        return max_evaluations - evaluations
+        def budget():
+            nonlocal least
+            least = min(least, limit - count)
+            return limit - count
 
+        try:
+            return _levenberg_marquardt(residual, x, project, noise, step, budget), count, least
+        except dropped:
+            return None, count, least
+
+    # The fixed-start run gets the evaluations the first run leaves, and only
+    # if at least 3 are left.  As the first run takes at least 3, a child can
+    # run it with max_evaluations - 3 before that count is known: its run is
+    # the in-order one when no budget() it saw fell below the first run's
+    # count, else the run is repeated here with the exact budget.
     starts = [project(np.array([h0 / h_scale, f0])), project(np.array([1.0, 0.5]))]
-    runs = [_levenberg_marquardt(residual, starts[0], project, noise, step, budget)]
-    if not np.array_equal(*starts) and budget() >= 3:
-        with contextlib.suppress(*_ENGINE_ERRORS):
-            runs.append(_levenberg_marquardt(residual, starts[1], project, noise, step, budget))
+    second = not np.array_equal(*starts) and max_evaluations >= 6
+    fork = (second and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) > 1 and threading.active_count() == 1)
+    with (_forked(lambda: run_from(starts[1], max_evaluations - 3, _ENGINE_ERRORS)) if fork
+          else contextlib.nullcontext()) as child_reply:
+        first, evaluations, _ = run_from(starts[0], max_evaluations)
+        runs = [first]
+        if second and max_evaluations - evaluations >= 3:
+            reply = child_reply() if child_reply else None
+            if reply is None or reply[2] < evaluations:
+                reply = run_from(starts[1], max_evaluations - evaluations, _ENGINE_ERRORS)
+            if reply[0] is not None:
+                runs.append(reply[0])
+            evaluations += reply[1]
     x_best, chi2, jac, converged = min(runs, key=lambda run: run[1])
     jac = jac / np.array([h_scale, 1.0])
     curvature = jac.T @ jac
@@ -296,6 +340,55 @@ def fit_roughness(
         h_f_covariance_proxy=2.0 * curvature,
         covariance=covariance,
     )
+
+
+@contextlib.contextmanager
+def _forked(work):
+    """Run ``work()`` in a forked child; yields a function that returns its
+    value, or None when it raised or warned (the caller then repeats the work
+    to raise or warn itself).  Yields None if no child can be made.  The
+    child is killed and reaped when the block exits."""
+    import signal  # only where a child is made: the CLI never needs it
+
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:
+            stream.flush()
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # no process to spare: the caller runs the work itself
+        os.close(read_fd)
+        os.close(write_fd)
+        yield None
+        return
+    if pid == 0:  # the child sends its pickled value, or None, and never returns
+        try:
+            os.close(read_fd)
+            try:
+                with warnings.catch_warnings(record=True) as caught:
+                    value = work()
+                message = pickle.dumps(None if caught else value)
+            except Exception:
+                message = pickle.dumps(None)
+            with open(write_fd, "wb") as pipe:
+                pipe.write(message)
+        finally:
+            os._exit(0)
+    os.close(write_fd)
+
+    def reply():
+        with open(read_fd, "rb", closefd=False) as pipe:
+            message = pipe.read()
+        if not message:
+            raise RuntimeError(f"fit child process {pid} exited without sending its result")
+        return pickle.loads(message)
+
+    try:
+        yield reply
+    finally:
+        os.close(read_fd)
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
 
 
 def _jacobian(residual, x, r, project, step):

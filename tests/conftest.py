@@ -1,3 +1,5 @@
+import os
+
 import hypothesis
 import numpy as np
 import pytest
@@ -23,6 +25,21 @@ hypothesis.settings.load_profile("derandomized")
 # gold parameters used throughout: h_bar Omega_P = 8.9 eV, h_bar gamma = 0.0357 eV
 GOLD_WP = ev_to_angular_frequency(8.9)
 GOLD_GAMMA = ev_to_angular_frequency(0.0357)
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail any test after which this process still has a child process,
+    running or unreaped."""
+    yield
+    if not hasattr(os, "WNOHANG"):
+        return
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    state = f"pid {pid}, unreaped" if pid else "running"
+    pytest.fail(f"a child process outlived the test ({state})")
 
 
 @pytest.fixture(scope="session")

@@ -222,12 +222,15 @@ def test_cli_output_is_deterministic():
 
 
 def test_cli_import_leaves_quadpack_unloaded():
-    """The CLI and the default integration route never import scipy; the kperp
-    oracle imports scipy.integrate when it is called."""
+    """The CLI and the default integration route never import scipy, nor a
+    process pool (the fitter forks by hand); the kperp oracle imports
+    scipy.integrate when it is called."""
     script = (
         "import sys\n"
         "import lifshitz_plates.cli\n"
         "assert not [m for m in sys.modules if m.startswith('scipy')], 'loaded by import'\n"
+        "pools = [m for m in sys.modules if m.split('.')[0] in ('multiprocessing', 'concurrent')]\n"
+        "assert not pools, pools\n"
         "from lifshitz_plates import LayerStack, PerfectReflector, pressure\n"
         "pressure(LayerStack((), PerfectReflector()), 5e-6, integration_variable='kperp')\n"
         "assert 'scipy.integrate' in sys.modules, 'not loaded by the kperp route'\n"

@@ -218,6 +218,20 @@ def test_settings_validation():
     EvaluationSettings(temperature=0.0, zero_temperature=True)  # allowed
 
 
+@pytest.mark.parametrize("name, value", [("l_max", 2.5), ("l_max", math.nan), ("l_max", math.inf),
+                                         ("consecutive_small_terms", 1.5),
+                                         ("consecutive_small_terms", 0)])
+def test_settings_counts_must_be_integers(name, value):
+    """l_max = 2.5 failed as "not converged after l = 2.5 terms", and a streak
+    of 1.5 was read as 2.  Integral floats pass, as in matsubara_frequency,
+    and are stored as ints."""
+    with pytest.raises(ValueError, match=f"^{name} must be an integer >= 1, got {value}$"):
+        EvaluationSettings(**{name: value})
+    settings = EvaluationSettings(l_max=30.0, consecutive_small_terms=2.0)
+    assert (settings.l_max, settings.consecutive_small_terms) == (30, 2)
+    assert type(settings.l_max) is int and type(settings.consecutive_small_terms) is int
+
+
 def test_eta_sweep_perfect_reflector_is_unity(perfect_stack):
     table = eta_sweep(perfect_stack, [1e-6], EvaluationSettings(zero_temperature=True))
     assert table.eta[0] == pytest.approx(1.0, abs=1e-9)

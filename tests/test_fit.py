@@ -1,5 +1,6 @@
 import io
 import math
+import os
 
 import numpy as np
 import pytest
@@ -21,6 +22,20 @@ from lifshitz_plates import fit as fit_module
 def acceptance_data(synthesize):
     """The noiseless 30-point dataset of acceptance criterion 8."""
     return synthesize(11e-9, 0.9, np.linspace(162e-9, 746e-9, 30))
+
+
+@pytest.fixture(scope="module")
+def noisy_data(synthesize):
+    """30 points with 0.2 % seeded noise, each weighted by that noise."""
+    return synthesize(11e-9, 0.9, np.linspace(162e-9, 746e-9, 30),
+                      noise=0.002, seed=7, weighted=True)
+
+
+@pytest.fixture(scope="module")
+def shifted_drude_data(drude_stack, settings300):
+    """Smooth Drude reduction factors at gaps 3 nm below the stated d."""
+    return [Measurement(x, pressure(drude_stack, x - 3e-9, settings300) / ideal_pressure(x))
+            for x in np.linspace(162e-9, 746e-9, 4)]
 
 
 def test_load_single_row():
@@ -165,10 +180,8 @@ def test_fit_reaches_truth_from_feasible_start(acceptance_data, gold, start):
     assert result.chi2 <= 1e-12
 
 
-def test_fit_covariance_brackets_truth(synthesize, gold):
-    data = synthesize(11e-9, 0.9, np.linspace(162e-9, 746e-9, 30),
-                      noise=0.002, seed=7, weighted=True)
-    result = fit_roughness(data, (5e-9, 0.8), gold, 300.0)
+def test_fit_covariance_brackets_truth(noisy_data, gold):
+    result = fit_roughness(noisy_data, (5e-9, 0.8), gold, 300.0)
     cov = result.covariance
     assert cov.shape == (2, 2)
     assert cov[0, 1] == cov[1, 0]
@@ -204,7 +217,7 @@ def test_fit_single_point_is_degenerate(synthesize, gold):
     assert result.converged
 
 
-def test_fit_converges_at_a_minimum_it_cannot_fit_exactly(gold, drude_stack, settings300):
+def test_fit_converges_at_a_minimum_it_cannot_fit_exactly(gold, shifted_drude_data):
     """Smooth Drude data at gaps 3 nm below the stated d: the best model is a
     nearly empty layer (h = 3.7 nm, f = 0.023) with chi2 = 2.8e-7.  There the
     forward differences' rounding error, noise / step per Jacobian column,
@@ -212,9 +225,7 @@ def test_fit_converges_at_a_minimum_it_cannot_fit_exactly(gold, drude_stack, set
     converged=False after 148 evaluations (as did a T = 0 fit of 300 K data:
     206 evaluations).  ``max_evaluations=3`` runs the convergence test at the
     start alone: it holds at the minimum and not away from it."""
-    d = np.linspace(162e-9, 746e-9, 4)
-    data = [Measurement(x, pressure(drude_stack, x - 3e-9, settings300) / ideal_pressure(x))
-            for x in d]
+    data = shifted_drude_data
     result = fit_roughness(data, (5e-9, 0.8), gold, 300.0)
     assert result.converged
     assert result.n_evaluations < 120
@@ -258,6 +269,20 @@ def test_fit_refuses_non_finite_or_negative_scales(synthesize, gold, monkeypatch
     monkeypatch.setattr(fit_module, "residuals", fail)
     with pytest.raises(ValueError, match=f"^{name} must be > 0 and finite, got {value}$"):
         fit_roughness(data, (5e-9, 0.8), gold, 300.0, **{name: value})
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, 2.5, 2, 1])
+def test_fit_refuses_a_bad_evaluation_budget(synthesize, gold, monkeypatch, value):
+    """NaN switched the budget off, and 1 or 2 were exceeded, since the start
+    alone costs 3 evaluations: the budget must be an integer >= 3."""
+    data = synthesize(11e-9, 0.9, np.linspace(200e-9, 700e-9, 4))
+
+    def fail(*args, **kwargs):
+        raise AssertionError("residuals evaluated")
+
+    monkeypatch.setattr(fit_module, "residuals", fail)
+    with pytest.raises(ValueError, match=f"^max_evaluations must be an integer >= 3, got {value}$"):
+        fit_roughness(data, (5e-9, 0.8), gold, 300.0, max_evaluations=value)
 
 
 def test_fit_rejects_infeasible_start(synthesize, gold, monkeypatch):
@@ -308,3 +333,128 @@ def test_temperature_conflicting_with_settings_is_refused(synthesize, gold, monk
     with pytest.raises(ValueError, match=message):
         fit_roughness(data, (5e-9, 0.8), gold, 4.0, settings=EvaluationSettings())
     assert calls == []
+
+
+requires_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Let fit_roughness fork as on a two-CPU machine; lists the children it makes."""
+    pids = []
+    fork = os.fork
+
+    def recording_fork():
+        pid = fork()
+        pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    return pids
+
+
+def _in_process(monkeypatch, *args, **kwargs):
+    """``fit_roughness(*args, **kwargs)`` with both runs in this process."""
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        return fit_roughness(*args, **kwargs)
+
+
+def _assert_same_fit(first, second):
+    for name in ("h", "f", "chi2", "n_evaluations", "converged"):
+        assert getattr(first, name) == getattr(second, name), name
+    for name in ("h_f_covariance_proxy", "covariance"):
+        assert getattr(first, name).tobytes() == getattr(second, name).tobytes(), name
+
+
+@requires_fork
+@pytest.mark.parametrize("dataset, max_evaluations", [
+    ("noisy_data", 2000), ("shifted_drude_data", 2000),
+    ("noisy_data", 6), ("noisy_data", 17), ("noisy_data", 25), ("noisy_data", 29),
+    ("noisy_data", 30),
+])
+def test_forked_fit_is_bit_identical_to_the_in_process_fit(request, gold, monkeypatch, forks,
+                                                           dataset, max_evaluations):
+    """On the noisy data the first run takes 15 evaluations when it can.  A
+    budget of 6 or 17 leaves the fixed start no run, so the child is killed
+    unused; 25 and 29 bind that run, so it is repeated here; from 30 on the
+    child's run is used."""
+    data = request.getfixturevalue(dataset)
+    forked = fit_roughness(data, (5e-9, 0.8), gold, 300.0, max_evaluations=max_evaluations)
+    assert len(forks) == 1
+    _assert_same_fit(forked, _in_process(monkeypatch, data, (5e-9, 0.8), gold, 300.0,
+                                         max_evaluations=max_evaluations))
+    assert len(forks) == 1
+
+
+class _StartRefused(Exception):
+    pass
+
+
+@requires_fork
+@pytest.mark.parametrize("error, at", [(_StartRefused, (10e-9, 0.5)), (ValueError, (10e-9, 0.5)),
+                                       (_StartRefused, (5e-9, 0.8))],
+                         ids=["other-error-at-fixed-start", "engine-error-at-fixed-start",
+                              "error-at-first-start"])
+def test_forked_fit_raises_or_drops_as_in_process(acceptance_data, gold, monkeypatch, forks,
+                                                  error, at):
+    """An error only at the fixed start (h_scale, 0.5), raised in the child,
+    is raised here with its type, or for an engine error drops that run, as
+    in process.  An error at the first start leaves no child behind."""
+    residuals, refused = fit_module.residuals, []
+
+    def refusing(h, f, *args):
+        if (h, f) == at:
+            refused.append(os.getpid())
+            raise error(f"refused at h = {h}, f = {f}")
+        return residuals(h, f, *args)
+
+    monkeypatch.setattr(fit_module, "residuals", refusing)
+    outcomes = []
+    for fit in (lambda: fit_roughness(acceptance_data, (5e-9, 0.8), gold, 300.0),
+                lambda: _in_process(monkeypatch, acceptance_data, (5e-9, 0.8), gold, 300.0)):
+        try:
+            outcomes.append(fit())
+        except _StartRefused as exc:
+            outcomes.append(str(exc))
+    assert len(forks) == 1 and os.getpid() in refused
+    if error is ValueError:
+        _assert_same_fit(*outcomes)
+    else:
+        assert outcomes == [f"refused at h = {at[0]}, f = {at[1]}"] * 2
+
+
+@requires_fork
+def test_a_child_that_exits_without_its_result_raises(acceptance_data, gold, monkeypatch, forks):
+    parent = os.getpid()
+    residuals = fit_module.residuals
+
+    def dying_in_the_child(h, f, *args):
+        if os.getpid() != parent:
+            os._exit(3)
+        return residuals(h, f, *args)
+
+    monkeypatch.setattr(fit_module, "residuals", dying_in_the_child)
+    with pytest.raises(RuntimeError, match=r"^fit child process \d+ exited without sending its"):
+        fit_roughness(acceptance_data, (5e-9, 0.8), gold, 300.0)
+    assert len(forks) == 1
+
+
+def test_fit_runs_in_process_when_fork_fails(acceptance_data, gold, monkeypatch):
+    def no_fork():
+        raise BlockingIOError("fork refused")
+
+    monkeypatch.setattr(os, "fork", no_fork, raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    _assert_same_fit(fit_roughness(acceptance_data, (5e-9, 0.8), gold, 300.0),
+                     _in_process(monkeypatch, acceptance_data, (5e-9, 0.8), gold, 300.0))
+
+
+@requires_fork
+@pytest.mark.parametrize("start, max_evaluations", [((10e-9, 0.5), 2000), ((5e-9, 0.8), 5)],
+                         ids=["equal-starts", "no-budget-for-a-second-run"])
+def test_fit_without_a_second_run_makes_no_child(acceptance_data, gold, forks, start,
+                                                 max_evaluations):
+    fit_roughness(acceptance_data, start, gold, 300.0, max_evaluations=max_evaluations)
+    assert forks == []
