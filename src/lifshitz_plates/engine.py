@@ -15,13 +15,13 @@ exp(-l x_1), x_1 = 2 a xi_1 / c, so each gap sums a first block sized from that
 decay rate, then blocks a quarter as long; terms beyond u = 16 start coarser.
 All gaps of a sweep are summed together in waves: one wave integrates the
 current block of every unfinished gap, the xi = 0 rows of all gaps in one
-call, and then runs each gap's stopping rule.  Those blocks and the T = 0
-frequencies share one vectorized refinement rule.  Every driver (the waves,
-the T = 0 integral) hands its rows to _refined_integrals, the only code that
-makes kernel calls: _pol_integrals (xi > 0) or _pol_integrals_zero (xi = 0),
-both feeding _panel_sums.  An independent integration
-route in the raw k variable (scipy QUADPACK) runs through the same waves as
-an internal cross-check.
+call, and then runs each gap's stopping rule.  The waves hand their rows to
+_refined_integrals, the only code that turns (gap, xi) rows into kernel calls:
+_pol_integrals (xi > 0) or _pol_integrals_zero (xi = 0), both feeding
+_panel_sums.  At T = 0 the frequency sum becomes an integral, which _t0_sums
+evaluates on one tensor rule in u and t = 2 a xi / (c u).  An independent
+integration route in the raw k variable (scipy QUADPACK) runs through the
+same waves as an internal cross-check.
 
 Sign convention: the returned pressure is the positive magnitude of the
 attraction, so the reduction factor P / P_id matches the usual plots.
@@ -36,7 +36,7 @@ from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
-from ._quad import DEFAULT_EDGES, DEFAULT_RULE, PanelRule
+from ._quad import DEFAULT_RULE, PanelRule
 from .constants import CONSTANTS
 from .materials import RoughPlateSpec
 from .stack import LayerStack, _reflection, _static_reflection, as_layer_stack
@@ -78,15 +78,12 @@ _DECAY_SAFETY = 1.2
 # exp(-16) of its gap's leading terms, starts one level coarser (60 nodes)
 _COARSE_FROM = 16.0
 
-# T = 0 rules, both ending on the default ladder from 1.5 to 60.  Outer, in
-# v = 2 a xi / c: panels graded geometrically towards v = 0, where the Drude TE
-# response varies on the scale 2 a gamma / c.  Inner, in u - v: graded towards
-# the light line u = v, near which the TE reflection at such low frequencies
-# changes fastest.
-_T0_OUTER_RULE = PanelRule.from_edges(
-    np.concatenate([[0.0], np.geomspace(1e-4, 1.0, 9), DEFAULT_EDGES[2:]]))
-_T0_INNER_RULE = PanelRule.from_edges(
-    np.concatenate([[0.0], np.geomspace(1e-4, 0.5, 6), DEFAULT_EDGES[2:]]))
+# T = 0 rules in u = 2 a q and t = 2 a xi / (c u) = xi / (c q), Lifshitz's 1/p.
+# u on the default ladder, its first panel split at 0.1 for the u^3 weight;
+# t is graded geometrically towards t = 0, where a Drude TE response varies on
+# the scale 2 a gamma / (c u).
+_T0_U_RULE = PanelRule.from_edges(np.array([0.0, 0.1, 0.5, 1.5, 3.5, 7.5, 15.5, 31.5, 60.0]))
+_T0_T_RULE = PanelRule.from_edges(np.concatenate([[0.0], np.geomspace(1e-5, 1.0, 11)]))
 
 
 class MatsubaraTruncationError(RuntimeError):
@@ -106,13 +103,13 @@ class QuadratureBudgetError(RuntimeError):
     """Raised when panel refinement stops after ``_MAX_REFINEMENTS`` splits
     with the Kronrod-Gauss error estimate still above its target."""
 
-    def __init__(self, a: float, frequency: str, estimate: float, target: float):
+    def __init__(self, a: float, where: str, estimate: float, target: float):
         self.gap = a
         self.estimate = estimate
         self.target = target
         super().__init__(
             f"quadrature not converged after {_MAX_REFINEMENTS} refinements at gap "
-            f"a = {a:.6e} m, {frequency}: error estimate {estimate:.3e} > target {target:.3e}"
+            f"a = {a:.6e} m, {where}: error estimate {estimate:.3e} > target {target:.3e}"
         )
 
 
@@ -223,7 +220,7 @@ def _panel_sums(U2, u0, rule: PanelRule, r):
     (``U2`` = u^2) with a leading [TE, TM] axis.  Returns (I_te, I_tm, err);
     err is the Kronrod-Gauss error estimate summed over both polarizations.
     """
-    # in place: one (2, rows, nodes) temporary fewer per step keeps the T = 0
+    # in place: one (2, rows, nodes) temporary fewer per step keeps the
     # blocks from trimming and regrowing the heap on every call
     g = r * r
     g *= np.exp(-u0) * rule.decay
@@ -254,7 +251,7 @@ def _pol_integrals_zero(stack: LayerStack, a, rule: PanelRule):
     return _panel_sums(rule.nodes * rule.nodes, 0.0, rule, _static_reflection(stack, U, a))
 
 
-def _refined_integrals(stack, a, xi, edges, hints, rule, quad_rel_tol, coarse=False):
+def _refined_integrals(stack, a, xi, edges, hints, rule, quad_rel_tol, coarse):
     """[te, tm, err] of the rows (a, xi), grouped by ``edges``, refined group by group.
 
     Rows start on ``rule``, those flagged ``coarse`` on ``rule.coarse()``.
@@ -269,9 +266,8 @@ def _refined_integrals(stack, a, xi, edges, hints, rule, quad_rel_tol, coarse=Fa
     (values, missed, estimate, target), the last three per group as of the
     last rules tried.
     """
-    a = np.broadcast_to(a, xi.shape)
     # kernel call order: coarse xi = 0, coarse xi > 0, xi = 0, xi > 0
-    kind = 2 * ~np.broadcast_to(coarse, xi.shape) + (xi != 0.0)
+    kind = 2 * ~coarse + (xi != 0.0)
     values = np.empty((3, len(xi)))
     rows = np.arange(len(xi))
     rules = (rule.coarse() if (kind < 2).any() else None, rule)  # coarse(refined(R)) is R
@@ -476,43 +472,60 @@ def matsubara_pressure_term(
     return PolarizedTerm(te=prefactor * float(te[0]), tm=prefactor * float(tm[0]))
 
 
+def _t0_sums(stack: LayerStack, a: float, u_rule: PanelRule, t_rule: PanelRule) -> np.ndarray:
+    """2x2 sums of u^3 sum_pol g/(1-g) on the tensor rule ``u_rule`` x ``t_rule``.
+
+    Entry [i, j] weights u by column i of ``u_rule.weights`` and t by column j
+    of ``t_rule.weights``: [0, 0] is the integral, [1, 0] and [0, 1] the signed
+    Kronrod-Gauss differences along u and t.  A kernel call takes as many u rows
+    as hold the nodes of _BLOCK default-rule rows, at least one.
+    """
+    step = max(1, _BLOCK * len(DEFAULT_RULE.nodes) // len(t_rule.nodes))
+    sums = np.empty((len(u_rule.nodes), 2))
+    for start in range(0, len(u_rule.nodes), step):
+        rows = slice(start, start + step)
+        u = u_rule.nodes[rows, None]
+        xi = (0.5 * CONSTANTS.c / a) * (u * t_rule.nodes)
+        # u at full shape, so a perfect mirror's constant coefficients get it too
+        g = _reflection(stack, xi, np.broadcast_to(u, xi.shape), a, u * u) ** 2
+        g *= u_rule.decay[rows, None]
+        g /= 1.0 - g
+        sums[rows] = (g[0] + g[1]) @ t_rule.weights
+    return (u_rule.nodes**3 * u_rule.weights.T) @ sums
+
+
 def pressure_zero_temperature(
     plate: Plate, a: float, settings: EvaluationSettings | None = None
 ) -> float:
     """Zero-temperature Casimir pressure: the Matsubara sum becomes an integral.
 
-    k_B T sum_l' -> (hbar / 2 pi) integral dxi.  In v = 2 a xi / c the
-    integrand is the sum over polarizations of the same u integrals the
-    finite-T sum uses, and it decays like exp(-v).  The v integral is a
-    Gauss-Kronrod panel rule on [0, 60] graded towards v = 0, every node's u
-    integral one row of a vectorized block.  The v integral is accepted when
-    its Kronrod-Gauss estimate is <= ``quad_rel_tol`` times its value (else
-    every v panel is split).  Each u integral is one group of
-    :func:`_refined_integrals` with no scale hint: it meets err <= 0.25
-    quad_rel_tol |F(v)|, else only it is refined.  The open rules never
-    sample v = 0.  Raises :class:`QuadratureBudgetError` when either check
-    still fails after ``_MAX_REFINEMENTS`` splits.
+    k_B T sum_l' -> (hbar / 2 pi) integral dxi.  In u = 2 a q and t = 2 a xi /
+    (c u) = xi / (c q), Lifshitz's 1/p,
+
+        P = hbar c / (32 pi^2 a^4) integral_0^60 du u^3 integral_0^1 dt sum_pol g/(1-g)
+
+    with g = r^2 exp(-u) at xi = c u t / (2 a), integrated by :func:`_t0_sums`
+    on the tensor rule ``_T0_U_RULE`` x ``_T0_T_RULE`` (120 x 165 open nodes).
+    It is accepted when the summed Kronrod-Gauss differences along both axes
+    are <= ``quad_rel_tol`` times its value; else every panel of the axis with
+    the larger part is split.  Raises :class:`QuadratureBudgetError`, naming
+    that axis, when it still misses after ``_MAX_REFINEMENTS`` splits.
     """
     settings = settings or EvaluationSettings()
     _check_gap(a)
     stack = as_layer_stack(plate)
     tol = settings.quad_rel_tol
-    rule = _T0_OUTER_RULE
+    rules = [_T0_U_RULE, _T0_T_RULE]
     for _ in range(_MAX_REFINEMENTS + 1):
-        v = rule.nodes
-        xi = (0.5 * CONSTANTS.c / a) * v
-        values, missed, estimate, target = _refined_integrals(
-            stack, a, xi, np.arange(len(v) + 1), 0.0, _T0_INNER_RULE, tol)
-        if missed.any():
-            i = max(np.flatnonzero(missed), key=lambda j: estimate[j] / target[j])
-            raise QuadratureBudgetError(
-                a, f"xi = {xi[i]:.6e} rad/s (v = 2 a xi / c = {v[i]:.6e})", estimate[i], target[i])
-        val, err = ((values[0] + values[1]) @ rule.weights).tolist()
-        err = abs(err)
-        if err <= tol * abs(val) or val == 0.0:
+        (val, err_t), (err_u, _) = _t0_sums(stack, a, *rules).tolist()
+        parts = [abs(err_u), abs(err_t)]
+        if sum(parts) <= tol * abs(val) or val == 0.0:
             return CONSTANTS.hbar * CONSTANTS.c / (32.0 * math.pi**2 * a**4) * val
-        rule = rule.refined()
-    raise QuadratureBudgetError(a, "integral over v = 2 a xi / c in [0, 60]", err, tol * abs(val))
+        axis = int(parts[1] > parts[0])
+        rules[axis] = rules[axis].refined()
+    raise QuadratureBudgetError(a, "T = 0 integral, larger estimate on the "
+                                + ("u = 2 a q", "t = 2 a xi / (c u)")[axis] + " axis",
+                                sum(parts), tol * abs(val))
 
 
 def eta_sweep(

@@ -88,7 +88,17 @@ class FitResult:
         }
 
 
-_D_UNITS = {"d_um": 1e-6, "d_nm": 1e-9}
+_D_UNITS = {"d_um": -6, "d_nm": -9}  # decimal exponent of each separation unit
+
+
+def _shifted(number: str, exponent: int):
+    """The decimal text ``number`` times 10**``exponent``, exactly.  The shift
+    runs in its own context, so the caller's decimal precision cannot round it
+    and no exponent a float can hold traps."""
+    import decimal
+
+    exact = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+    return decimal.Decimal(number).scaleb(exponent, exact)
 
 
 def load_measurements(source: Union[str, Path, TextIO]) -> list[Measurement]:
@@ -96,7 +106,8 @@ def load_measurements(source: Union[str, Path, TextIO]) -> list[Measurement]:
 
     ``source`` may be a path, an open text stream, or the literal CSV content
     (any string containing a newline).  Rows are returned ascending in d;
-    duplicate separations are rejected.
+    duplicate separations are rejected.  d is shifted to metres in decimal, so
+    it is the float nearest the cell's value and a dumped d loads back exactly.
     """
     if hasattr(source, "read"):
         text = source.read()
@@ -120,7 +131,7 @@ def load_measurements(source: Union[str, Path, TextIO]) -> list[Measurement]:
     expected = [d_cols[0], "eta"] + (["sigma"] if "sigma" in header else [])
     if header != expected:
         raise ValueError(f"header must be {expected}, got {header}")
-    scale = _D_UNITS[d_cols[0]]
+    exponent = _D_UNITS[d_cols[0]]
 
     measurements = []
     for lineno, row in rows[1:]:
@@ -131,7 +142,10 @@ def load_measurements(source: Union[str, Path, TextIO]) -> list[Measurement]:
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
         try:
-            measurements.append(Measurement(values[0] * scale, *values[1:]))
+            d = values[0]
+            if d != 0.0 and math.isfinite(d):  # Measurement refuses the rest as parsed
+                d = float(_shifted(row[0], exponent))
+            measurements.append(Measurement(d, *values[1:]))
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
     if not measurements:
@@ -147,14 +161,15 @@ def load_measurements(source: Union[str, Path, TextIO]) -> list[Measurement]:
 def dump_measurements(
     measurements: Sequence[Measurement], target: Union[str, Path, TextIO], unit: str = "d_um"
 ) -> None:
-    """Serialize measurements as CSV; inverse of :func:`load_measurements`."""
+    """Serialize measurements as CSV, d as its shortest repr shifted to ``unit``;
+    inverse of :func:`load_measurements`."""
     if unit not in _D_UNITS:
         raise ValueError(f"unknown unit suffix {unit!r}; use d_um or d_nm")
-    scale = _D_UNITS[unit]
+    exponent = _D_UNITS[unit]
     weighted = any(m.sigma != 1.0 for m in measurements)
     lines = [f"{unit},eta" + (",sigma" if weighted else "")]
     for m in measurements:
-        record = f"{m.d / scale:.17g},{m.eta:.17g}"
+        record = f"{_shifted(repr(float(m.d)), -exponent):f},{m.eta:.17g}"
         if weighted:
             record += f",{m.sigma:.17g}"
         lines.append(record)

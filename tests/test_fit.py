@@ -1,3 +1,4 @@
+import decimal
 import io
 import math
 import os
@@ -117,6 +118,22 @@ def test_non_finite_measurement_is_refused(field):
 def test_load_refuses_infinite_separation():
     with pytest.raises(ValueError, match="^line 3: d must be > 0 and finite, got inf$"):
         load_measurements("d_um,eta\n0.2,0.5\ninf,0.6\n")
+
+
+@pytest.mark.parametrize("cell, shown", [("1e1000006", "inf"), ("1e99999999999999999999", "inf"),
+                                         ("1e-99999999999999999999", "0.0")])
+def test_load_refuses_a_separation_past_float_range(cell, shown):
+    with pytest.raises(ValueError, match=f"^line 2: d must be > 0 and finite, got {shown}$"):
+        load_measurements(f"d_um,eta\n{cell},0.5\n")
+
+
+def test_separations_ignore_the_callers_decimal_context(tmp_path):
+    data = [Measurement(7.459999999999999e-07, 0.5), Measurement(1.3800000000000002e-07, 0.4)]
+    with decimal.localcontext(prec=3, Emax=3, Emin=-3):
+        dump_measurements(data, tmp_path / "m.csv")
+        assert load_measurements(tmp_path / "m.csv") == sorted(data, key=lambda m: m.d)
+    assert (tmp_path / "m.csv").read_text().splitlines()[1:] == [
+        "0.7459999999999999,0.5", "0.13800000000000002,0.40000000000000002"]
 
 
 def test_objective_zero_at_truth(synthesize, gold):

@@ -8,8 +8,8 @@ from lifshitz_plates import engine
 from lifshitz_plates._quad import DEFAULT_RULE
 
 
-@pytest.mark.parametrize("rule", [DEFAULT_RULE, engine._T0_OUTER_RULE, engine._T0_INNER_RULE],
-                         ids=["default", "t0-outer", "t0-inner"])
+@pytest.mark.parametrize("rule", [DEFAULT_RULE, engine._T0_U_RULE, engine._T0_T_RULE],
+                         ids=["default", "t0-u", "t0-t"])
 def test_coarse_undoes_refined(rule):
     assert np.array_equal(rule.refined().coarse().edges, rule.edges)
 
