@@ -22,15 +22,7 @@ from .materials import (
     static_limit,
     surface_plasma_frequency,
 )
-from .stack import (
-    KinematicPoint,
-    LayerStack,
-    as_layer_stack,
-    axial_wavenumber,
-    fresnel,
-    plate_reflection,
-    plate_reflection_zero_frequency,
-)
+from .stack import LayerStack, as_layer_stack
 from .engine import (
     EvaluationSettings,
     MatsubaraTruncationError,
@@ -64,7 +56,6 @@ __all__ = [
     "Drude",
     "EvaluationSettings",
     "FitResult",
-    "KinematicPoint",
     "LayerStack",
     "MatsubaraTruncationError",
     "Measurement",
@@ -80,14 +71,12 @@ __all__ = [
     "Vacuum",
     "as_layer_stack",
     "average_separation",
-    "axial_wavenumber",
     "build_rough_plate",
     "dump_measurements",
     "eta_sweep",
     "ev2_to_angular_frequency2",
     "ev_to_angular_frequency",
     "fit_roughness",
-    "fresnel",
     "gap_from_average",
     "ideal_pressure",
     "load_measurements",
@@ -95,8 +84,6 @@ __all__ = [
     "matsubara_pressure_term",
     "objective",
     "permittivity_imag_axis",
-    "plate_reflection",
-    "plate_reflection_zero_frequency",
     "pressure",
     "pressure_zero_temperature",
     "reduction_factor",

@@ -286,7 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--t0", action="store_true", help="zero-temperature mode")
     common.add_argument("--h-nm", type=float, dest="h_nm", help="surface layer thickness in nm")
     common.add_argument("--f", type=float, help="metallic fill fraction of the surface layer")
-    common.add_argument("--out", help="output path (default: stdout)")
+    to_stdout = argparse.ArgumentParser(add_help=False)
+    to_stdout.add_argument("--out", help="output path (default: stdout)")
 
     grid = argparse.ArgumentParser(add_help=False)
     grid.add_argument("--dmin", type=float, help="smallest average separation in um")
@@ -294,17 +295,19 @@ def build_parser() -> argparse.ArgumentParser:
     grid.add_argument("--points", type=int, help="number of grid points")
     grid.add_argument("--log", action="store_true", help="log-spaced grid")
 
-    p = sub.add_parser("pressure", parents=[common], help="pressure at one separation")
+    p = sub.add_parser("pressure", parents=[common, to_stdout], help="pressure at one separation")
     p.add_argument("d_um", type=float, help="average separation in um")
     p.set_defaults(func=cmd_pressure)
 
-    p = sub.add_parser("sweep", parents=[common, grid], help="reduction-factor sweep")
+    p = sub.add_parser("sweep", parents=[common, to_stdout, grid], help="reduction-factor sweep")
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("compare", parents=[common, grid], help="eta columns for several models")
+    p = sub.add_parser("compare", parents=[common, to_stdout, grid],
+                       help="eta columns for several models")
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("fit", parents=[common], help="fit (h, f) to measured reduction factors")
+    p.add_argument("--out", help="residual table path (default: fit_residuals.csv)")
     p.add_argument("--data", required=True, help="measurements CSV (d_um|d_nm, eta[, sigma])")
     p.set_defaults(func=cmd_fit)
 

@@ -15,8 +15,8 @@ exp(-l x_1), x_1 = 2 a xi_1 / c, so each gap sums a first block sized from that
 decay rate, then blocks a quarter as long; terms beyond u = 16 start coarser.
 All gaps of a sweep are summed together in waves: one wave integrates the
 current block of every unfinished gap, the xi = 0 rows of all gaps in one
-call, and then runs each gap's stopping rule.  The waves hand their rows to
-_refined_integrals, the only code that turns (gap, xi) rows into kernel calls:
+call, and then runs each gap's stopping rule.  A wave is one _wave_terms
+call, the only code that turns (gap, xi) rows into kernel calls:
 _pol_integrals (xi > 0) or _pol_integrals_zero (xi = 0), both feeding
 _panel_sums.  At T = 0 the frequency sum becomes an integral, which _t0_sums
 evaluates on one tensor rule in u and t = 2 a xi / (c u).  An independent
@@ -251,26 +251,31 @@ def _pol_integrals_zero(stack: LayerStack, a, rule: PanelRule):
     return _panel_sums(rule.nodes * rule.nodes, 0.0, rule, _static_reflection(stack, U, a))
 
 
-def _refined_integrals(stack, a, xi, edges, hints, rule, quad_rel_tol, coarse):
-    """[te, tm, err] of the rows (a, xi), grouped by ``edges``, refined group by group.
+def _wave_terms(stack, a, blocks, temperature, quad_rel_tol, hints):
+    """Pressure-sum integrands [te, tm] of one block of Matsubara indices per gap.
 
-    Rows start on ``rule``, those flagged ``coarse`` on ``rule.coarse()``.
-    Group i holds rows edges[i]:edges[i + 1] and is accepted when its summed
-    Kronrod-Gauss estimate is <= 0.25 ``quad_rel_tol`` max(|hints[i]|,
-    |te + tm summed over the group|); only the rows of the groups that miss
-    it are integrated again, each one level finer than before, at most
-    ``_MAX_REFINEMENTS`` times.  A pass integrates the coarse rows, then the
-    others, each first at xi = 0 (:func:`_pol_integrals_zero`), then at
-    xi > 0 (:func:`_pol_integrals`), ascending, ``_BLOCK`` rows a kernel call
-    or as many as hold their nodes (112 of the 60-node coarse rule).  Returns
-    (values, missed, estimate, target), the last three per group as of the
-    last rules tried.
+    ``blocks[i]`` holds ascending indices for gap ``a[i]``.  The rows of all
+    blocks share kernel calls, on ``DEFAULT_RULE``, or its coarse rule beyond
+    u0 = 2 a xi / c = ``_COARSE_FROM``.  Block i is accepted when its summed
+    Kronrod-Gauss estimate is <= 0.25 ``quad_rel_tol`` max(|hints[i]|, |te +
+    tm over the block|); the rows of the blocks that miss it are integrated
+    again, each one level finer, at most ``_MAX_REFINEMENTS`` times.  A pass
+    integrates the coarse rows, then the others, each first at xi = 0, then
+    at xi > 0, ascending, ``_BLOCK`` rows a kernel call or as many as hold
+    their nodes (112 of the 60-node coarse rule).  Returns per block its
+    [te, tm] array, or the ``QuadratureBudgetError`` of a block still above
+    its target.
     """
+    sizes = [len(b) for b in blocks]
+    edges = np.cumsum([0] + sizes)
+    xi = matsubara_frequency(np.concatenate(blocks), temperature)
+    rows_a = np.repeat(a, sizes)
     # kernel call order: coarse xi = 0, coarse xi > 0, xi = 0, xi > 0
-    kind = 2 * ~coarse + (xi != 0.0)
+    kind = 2 * ~((2.0 * rows_a / CONSTANTS.c) * xi > _COARSE_FROM) + (xi != 0.0)
     values = np.empty((3, len(xi)))
     rows = np.arange(len(xi))
-    rules = (rule.coarse() if (kind < 2).any() else None, rule)  # coarse(refined(R)) is R
+    # coarse(refined(R)) is R
+    rules = (DEFAULT_RULE.coarse() if (kind < 2).any() else None, DEFAULT_RULE)
     for _ in range(_MAX_REFINEMENTS + 1):
         for k in range(4):
             i = rows[kind[rows] == k]
@@ -280,34 +285,16 @@ def _refined_integrals(stack, a, xi, edges, hints, rule, quad_rel_tol, coarse):
             step = max(_BLOCK, _BLOCK * len(DEFAULT_RULE.nodes) // len(level_rule.nodes))
             for start in range(0, len(i), step):
                 j = i[start:start + step]
-                values[:, j] = (_pol_integrals(stack, a[j], xi[j], level_rule) if k % 2
-                                else _pol_integrals_zero(stack, a[j], level_rule))
+                values[:, j] = (_pol_integrals(stack, rows_a[j], xi[j], level_rule) if k % 2
+                                else _pol_integrals_zero(stack, rows_a[j], level_rule))
         te, tm, estimate = np.add.reduceat(values, edges[:-1], axis=1)
         scale = np.maximum(np.abs(hints), np.abs(te + tm))
         target = 0.25 * quad_rel_tol * scale
         missed = ~(estimate <= target) & (scale != 0.0)
         if not missed.any():
             break
-        rows = np.flatnonzero(np.repeat(missed, np.diff(edges)))
+        rows = np.flatnonzero(np.repeat(missed, sizes))
         rules = (rules[1], rules[1].refined())
-    return values, missed, estimate, target
-
-
-def _wave_terms(stack, a, blocks, temperature, quad_rel_tol, hints):
-    """Pressure-sum integrands [te, tm] of one block of Matsubara indices per gap.
-
-    ``blocks[i]`` holds ascending indices for gap ``a[i]``; the rows of all
-    blocks share the kernel calls of :func:`_refined_integrals`, which
-    accepts block i against the scale hint ``hints[i]`` (rows beyond u0 = 16
-    start coarse).  Returns per block its [te, tm] array, or the ``QuadratureBudgetError``
-    of a block still above its target after ``_MAX_REFINEMENTS`` splits.
-    """
-    edges = np.cumsum([0] + [len(b) for b in blocks])
-    xi = matsubara_frequency(np.concatenate(blocks), temperature)
-    rows_a = np.repeat(a, np.diff(edges))
-    values, missed, estimate, target = _refined_integrals(
-        stack, rows_a, xi, edges, hints, DEFAULT_RULE, quad_rel_tol,
-        (2.0 * rows_a / CONSTANTS.c) * xi > _COARSE_FROM)
     out = np.split(values[:2], edges[1:-1], axis=1)
     for i in np.flatnonzero(missed):
         ends = blocks[i][[0, -1]]
@@ -342,9 +329,10 @@ def _kperp_term(stack, a, l, temperature, quad_rel_tol):
             # t = 2 a k restores an O(1) decay scale for QUADPACK
             k = 0.5 * t / a
             q = math.sqrt(k * k + (xi / CONSTANTS.c) ** 2)
-            r = (_static_reflection(stack, k) if l == 0 else _reflection(stack, xi, q))[pol]
-            arg = 2.0 * a * q
-            g = float(r) ** 2 * (math.exp(-arg) if arg < 700.0 else 0.0)
+            u = 2.0 * a * q
+            r = (_static_reflection(stack, t, a) if l == 0
+                 else _reflection(stack, xi, u, a, u * u))[pol]
+            g = float(r) ** 2 * (math.exp(-u) if u < 700.0 else 0.0)
             return k * q * g / (1.0 - g)
 
         val, _ = integrate.quad(integrand, 0.0, 60.0, epsabs=0.0,
@@ -463,9 +451,12 @@ def matsubara_pressure_term(
     plates the l = 0 TE entry is an exact zero, not merely a small number.
     The term is refined as in :func:`pressure`, against its own value; raises
     :class:`QuadratureBudgetError` when that fails after ``_MAX_REFINEMENTS`` splits.
+    Raises ``ValueError`` under ``zero_temperature``: T = 0 has no terms.
     """
     settings = settings or EvaluationSettings()
     _check_gap(a)
+    if settings.zero_temperature:
+        raise ValueError("zero_temperature is set: there are no Matsubara terms at T = 0")
     te, tm = _block_terms_scaled(as_layer_stack(plate), a, [l], settings.temperature,
                                  settings.quad_rel_tol, 0.0)
     prefactor = (0.5 if l == 0 else 1.0) * _pressure_prefactor(a, settings.temperature)
@@ -539,8 +530,8 @@ def eta_sweep(
     a = d.  Rows are emitted in ascending d.  At T > 0 the Matsubara sums of
     all gaps run together in waves: each wave integrates the current block of
     every unfinished gap (each gap's blocks sized from its decay rate), in
-    the kernel calls of :func:`_refined_integrals`, with the xi = 0 rows of
-    all gaps together.  Each row equals :func:`pressure` at its gap up to the
+    the kernel calls of :func:`_wave_terms`, with the xi = 0 rows of all
+    gaps together.  Each row equals :func:`pressure` at its gap up to the
     last-bit rounding of the batched products.  When several gaps fail, the error of
     the smallest d is raised.  A non-finite or repeated d raises
     ``ValueError`` before any pressure is computed.

@@ -269,7 +269,7 @@ def fit_roughness(
         raise ValueError(f"h_max must be > 0 and finite, got {h_max}")
     if not (3 <= max_evaluations < math.inf and math.floor(max_evaluations) == max_evaluations):
         raise ValueError(f"max_evaluations must be an integer >= 3, got {max_evaluations}")
-    h_scale = h_scale or max(h_max / 10.0, 1e-9)
+    h_scale = max(h_max / 10.0, 1e-9) if h_scale is None else h_scale
     if not 0.0 < h_scale < math.inf:
         raise ValueError(f"h_scale must be > 0 and finite, got {h_scale}")
     h0, f0 = init

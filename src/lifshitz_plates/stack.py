@@ -9,7 +9,7 @@ phase exp(-d (2 a s_j) / a).  The ``xi = 0`` point runs the same recursion on
 model-aware analytic limits of each interface, because the conductor
 permittivities diverge there (Drude like 1/xi, plasma like 1/xi^2) and a
 naive evaluation produces 0 * inf forms.  One pass gives both
-polarizations: the internal coefficients carry a leading axis [TE, TM].
+polarizations: the coefficients carry a leading axis [TE, TM].
 
 Sign convention (fixed for testability; only r^2 is observable in the
 pressure): r_TE = (s_i - s_j)/(s_i + s_j), r_TM = (eps_j s_i - eps_i s_j) /
@@ -20,7 +20,7 @@ r_TE = -1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Literal, Union
+from typing import Iterable, Union
 
 import numpy as np
 
@@ -34,9 +34,6 @@ from .materials import (
     permittivity_imag_axis,
     static_limit,
 )
-
-Polarization = Literal["TE", "TM"]
-
 
 @dataclass(frozen=True)
 class LayerStack:
@@ -73,20 +70,6 @@ class LayerStack:
         object.__setattr__(self, "media", media if mirror else media + (substrate,))
 
 
-@dataclass(frozen=True)
-class KinematicPoint:
-    """Matsubara frequency (rad/s, >= 0) and transverse wavenumber (1/m, > 0)."""
-
-    xi: float
-    k_perp: float
-
-    def __post_init__(self) -> None:
-        if self.xi < 0.0:
-            raise ValueError("xi must be >= 0")
-        if not self.k_perp > 0.0:
-            raise ValueError("k_perp must be > 0")
-
-
 def as_layer_stack(plate: Union[RoughPlateSpec, LayerStack]) -> LayerStack:
     """Coerce a rough-plate description (or pass a stack through)."""
     if isinstance(plate, LayerStack):
@@ -97,18 +80,6 @@ def as_layer_stack(plate: Union[RoughPlateSpec, LayerStack]) -> LayerStack:
             layers = ((plate.surface, plate.layer_thickness),)
         return LayerStack(layers=layers, substrate=plate.bulk)
     raise TypeError(f"expected RoughPlateSpec or LayerStack, got {plate!r}")
-
-
-def axial_wavenumber(eps: ArrayLike, xi: ArrayLike, k_perp: ArrayLike) -> ArrayLike:
-    """s = sqrt(eps(i xi) xi^2 / c^2 + k_perp^2), the decay constant along the axis."""
-    return np.sqrt(np.asarray(eps) * (np.asarray(xi) / CONSTANTS.c) ** 2 + np.asarray(k_perp) ** 2)
-
-
-def _pol_index(polarization: Polarization) -> int:
-    """Row of ``polarization`` on the leading [TE, TM] axis."""
-    if polarization not in ("TE", "TM"):
-        raise ValueError(f"polarization must be 'TE' or 'TM', got {polarization!r}")
-    return ("TE", "TM").index(polarization)
 
 
 def _fresnel_pair(eps_i: ArrayLike, eps_j: ArrayLike, s_i: ArrayLike, s_j: ArrayLike) -> np.ndarray:
@@ -125,17 +96,6 @@ def _fresnel_pair(eps_i: ArrayLike, eps_j: ArrayLike, s_i: ArrayLike, s_j: Array
     tm -= eps_s
     tm /= den
     return r
-
-
-def fresnel(
-    polarization: Polarization,
-    eps_i: ArrayLike,
-    eps_j: ArrayLike,
-    s_i: ArrayLike,
-    s_j: ArrayLike,
-) -> ArrayLike:
-    """Single-interface reflection coefficient from medium i onto medium j."""
-    return _fresnel_pair(eps_i, eps_j, s_i, s_j)[_pol_index(polarization)]
 
 
 def _combine(r_outer: np.ndarray, r_inner: np.ndarray, phase: ArrayLike,
@@ -174,35 +134,23 @@ def _recurse(stack: LayerStack, s: list[ArrayLike], a: ArrayLike, interface,
     return r
 
 
-def _reflection(stack: LayerStack, xi: ArrayLike, u: ArrayLike, a: ArrayLike = 0.5,
-                u2: ArrayLike | None = None) -> np.ndarray:
+def _reflection(stack: LayerStack, xi: ArrayLike, u: ArrayLike, a: ArrayLike,
+                u2: ArrayLike) -> np.ndarray:
     """Plate reflection coefficients [TE, TM] for xi > 0 (vectorized, broadcasting).
 
     ``u`` = 2 a q is the vacuum axial wavenumber q scaled by twice the length
-    ``a`` (a = 0.5 m: u is q in 1/m); ``u2`` is u^2 if the caller has it.  With
-    u0 = 2 a xi / c, medium j has 2 a s_j = sqrt(u^2 + (eps_j - 1) u0^2).  ``xi``
-    is not checked: callers pass only xi > 0, where |r| < 1 for every node.
+    ``a``, and ``u2`` is u^2.  With u0 = 2 a xi / c, medium j has 2 a s_j =
+    sqrt(u^2 + (eps_j - 1) u0^2).  ``xi`` is not checked: callers pass only
+    xi > 0, where |r| < 1 for every node.
     """
     eps = [permittivity_imag_axis(m, xi, check=False) for m in stack.media]
-    u2 = u * u if u2 is None else u2
     u0_sq = ((2.0 * a / CONSTANTS.c) * xi) ** 2
     s = [u] + [np.sqrt(u2 + (e - 1.0) * u0_sq) for e in eps]
     eps.insert(0, 1.0)
     return _recurse(stack, s, a, lambda i, j: _fresnel_pair(eps[i], eps[j], s[i], s[j]))
 
 
-def plate_reflection(
-    stack: LayerStack, polarization: Polarization, point: KinematicPoint
-) -> float:
-    """Reflection coefficient of the plate at a Matsubara point with xi > 0."""
-    pol = _pol_index(polarization)
-    if not point.xi > 0.0:
-        raise ValueError("xi must be > 0 here; use plate_reflection_zero_frequency at xi = 0")
-    q = axial_wavenumber(1.0, point.xi, point.k_perp)
-    return float(_reflection(stack, point.xi, q)[pol])
-
-
-def _static_reflection(stack: LayerStack, u: ArrayLike, a: ArrayLike = 0.5) -> np.ndarray:
+def _static_reflection(stack: LayerStack, u: ArrayLike, a: ArrayLike) -> np.ndarray:
     """Analytic xi -> 0 limit of the coefficients [TE, TM] at u = 2 a k_perp (see _reflection)."""
     u = np.asarray(u, dtype=float)
     limits = [(0, 1.0)] + [static_limit(m) for m in stack.media]
@@ -226,19 +174,3 @@ def _static_fresnel(limit_i, limit_j, s_i, s_j) -> np.ndarray:
     if order_i != order_j:
         r[1] = 1.0 if order_j > order_i else -1.0
     return r
-
-
-def plate_reflection_zero_frequency(
-    stack: LayerStack, polarization: Polarization, k_perp: ArrayLike
-) -> ArrayLike:
-    """xi -> 0 limit of the plate reflection coefficient.
-
-    Drude half-space: r_TE -> 0 exactly, r_TM -> 1.  Plasma-like media keep
-    a nonzero TE reflection because eps xi^2 -> plasma^2 survives the limit.
-    Finite-eps dielectrics reflect only in TM, with the static permittivity.
-    """
-    pol = _pol_index(polarization)
-    if np.any(np.asarray(k_perp) <= 0.0):
-        raise ValueError("k_perp must be > 0")
-    r = _static_reflection(stack, k_perp)[pol]
-    return float(r) if np.ndim(r) == 0 else r

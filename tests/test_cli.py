@@ -212,6 +212,18 @@ def test_fit_missing_data_file(capsys, tmp_path):
     assert "data file" in err
 
 
+@pytest.mark.parametrize("command, default", [("fit", "fit_residuals.csv"), ("sweep", "stdout"),
+                                              ("pressure", "stdout"), ("compare", "stdout")])
+def test_help_names_the_out_default(capsys, monkeypatch, command, default):
+    """fit --help said its residual table went to stdout by default, but it
+    goes to fit_residuals.csv; the other commands do write to stdout."""
+    monkeypatch.setenv("COLUMNS", "200")
+    code, out, _ = run_cli(capsys, command, "--help")
+    assert code == 0
+    (line,) = [line for line in out.splitlines() if line.strip().startswith("--out")]
+    assert line.endswith(f"(default: {default})")
+
+
 def test_cli_output_is_deterministic():
     argv = [sys.executable, "-m", "lifshitz_plates.cli", "sweep", "--model", "drude",
             "--dmin", "0.3", "--dmax", "3.0", "--points", "5", "--log"]

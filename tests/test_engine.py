@@ -10,7 +10,6 @@ from lifshitz_plates import (
     CONSTANTS,
     Composite,
     EvaluationSettings,
-    KinematicPoint,
     LayerStack,
     MatsubaraTruncationError,
     OscillatorSum,
@@ -20,23 +19,20 @@ from lifshitz_plates import (
     Vacuum,
     as_layer_stack,
     average_separation,
-    axial_wavenumber,
     build_rough_plate,
     eta_sweep,
     ev_to_angular_frequency,
-    fresnel,
     gap_from_average,
     ideal_pressure,
     matsubara_frequency,
     matsubara_pressure_term,
     permittivity_imag_axis,
-    plate_reflection,
     pressure,
     pressure_zero_temperature,
     reduction_factor,
 )
 from lifshitz_plates import engine
-from lifshitz_plates.stack import _reflection
+from lifshitz_plates.stack import _fresnel_pair, _reflection
 
 from conftest import GOLD_GAMMA, GOLD_WP
 
@@ -67,6 +63,16 @@ def test_matsubara_index_must_be_an_integer(drude_stack, l):
     with pytest.raises(ValueError, match=message):
         matsubara_pressure_term(drude_stack, 500e-9, l)
     assert matsubara_frequency(2.0, 300.0) == matsubara_frequency(2, 300.0)
+
+
+@pytest.mark.parametrize("temperature", [300.0, 0.0])
+def test_matsubara_term_refused_at_zero_temperature(drude_stack, temperature):
+    """zero_temperature=True returned the term at the default 300 K, and at
+    temperature 0 the refusal did not name the cause."""
+    settings = EvaluationSettings(temperature=temperature, zero_temperature=True)
+    with pytest.raises(ValueError, match="^zero_temperature is set: there are no Matsubara "
+                                         "terms at T = 0$"):
+        matsubara_pressure_term(drude_stack, 500e-9, 1, settings)
 
 
 def test_ideal_pressure_values():
@@ -429,9 +435,9 @@ def test_sweep_work_budget(kernel_calls, rough_plate, settings300):
 def _k_perp_route_integrals(stack, a, xi, rule):
     """(I_te, I_tm, err) of one row on the k_perp route, from the textbook formulas.
 
-    k_perp is recovered from the nodes u = 2 a q, every medium's axial
-    wavenumber follows from ``axial_wavenumber`` and every interface from the
-    Fresnel formulas written out here, combined right-to-left through the
+    k_perp is recovered from the nodes u = 2 a q.  Every medium's axial
+    wavenumber s = sqrt(eps xi^2 / c^2 + k_perp^2) and every interface's
+    Fresnel formulas are written out here, combined right-to-left through the
     layers.
     """
 
@@ -446,7 +452,7 @@ def _k_perp_route_integrals(stack, a, xi, rule):
     mirror = isinstance(stack.substrate, PerfectReflector)
     media = [Vacuum(), *(model for model, _ in stack.layers)] + [stack.substrate] * (not mirror)
     eps = [permittivity_imag_axis(model, xi) for model in media]
-    s = [axial_wavenumber(e, xi, k_perp) for e in eps]
+    s = [np.sqrt(e * (xi / CONSTANTS.c) ** 2 + k_perp**2) for e in eps]
     values, errors = [], []
     for pol in ("TE", "TM"):
         r = (-1.0 if pol == "TE" else 1.0) if mirror else interface(pol, -2, -1)
@@ -494,22 +500,19 @@ def test_kernel_matches_k_perp_route(drude_stack, plasma_stack, rough_plate):
 
 
 def test_reflection_of_0d_inputs(drude_stack, rough_plate):
-    """Scalars and 0-d arrays give one [TE, TM] pair, equal to the public accessors."""
-    xi, k_perp = matsubara_frequency(3, 300.0), 4e6
-    q = axial_wavenumber(1.0, xi, k_perp)
+    """Scalars and 0-d arrays give one [TE, TM] pair, the same either way."""
+    a, xi, k_perp = 300e-9, matsubara_frequency(3, 300.0), 4e6
+    u = 2.0 * a * math.hypot(xi / CONSTANTS.c, k_perp)
     mirror = LayerStack([(Plasma(GOLD_WP), 20e-9)], PerfectReflector())
     for stack in (drude_stack, as_layer_stack(rough_plate), mirror):
-        pair = _reflection(stack, np.array(xi), np.array(q))
+        pair = _reflection(stack, np.array(xi), np.array(u), np.array(a), np.array(u * u))
         assert pair.shape == (2,)
-        assert np.array_equal(pair, _reflection(stack, xi, q))
-        point = KinematicPoint(xi, k_perp)
-        assert [plate_reflection(stack, pol, point) for pol in ("TE", "TM")] == pair.tolist()
-    for pol in ("TE", "TM"):
-        value = fresnel(pol, np.array(1.0), np.array(3.0), np.array(2e6), np.array(1e6))
-        assert np.ndim(value) == 0
-        assert value == fresnel(pol, 1.0, 3.0, 2e6, 1e6)
-    assert fresnel("TE", 1.0, 3.0, 2e6, 1e6) == pytest.approx(1.0 / 3.0, rel=1e-15)
-    assert fresnel("TM", 1.0, 3.0, 2e6, 1e6) == pytest.approx(5.0 / 7.0, rel=1e-15)
+        assert np.array_equal(pair, _reflection(stack, xi, u, a, u * u))
+    pair = _fresnel_pair(np.array(1.0), np.array(3.0), np.array(2e6), np.array(1e6))
+    assert pair.shape == (2,)
+    assert np.array_equal(pair, _fresnel_pair(1.0, 3.0, 2e6, 1e6))
+    assert pair[0] == pytest.approx(1.0 / 3.0, rel=1e-15)
+    assert pair[1] == pytest.approx(5.0 / 7.0, rel=1e-15)
 
 
 def test_constants_match_scipy():

@@ -273,11 +273,13 @@ def test_fit_validates_init(synthesize, gold):
 
 
 @pytest.mark.parametrize("name, value", [("h_max", math.inf), ("h_scale", math.inf),
-                                         ("h_scale", math.nan), ("h_scale", -1e-9)])
+                                         ("h_scale", math.nan), ("h_scale", -1e-9),
+                                         ("h_scale", 0.0)])
 def test_fit_refuses_non_finite_or_negative_scales(synthesize, gold, monkeypatch, name, value):
     """An infinite h_max, or an h_scale that is not a positive finite length, is
     refused before any evaluation; a negative h_scale reported a converged fit
-    at (h_max, 1) on data made at (11 nm, 0.9)."""
+    at (h_max, 1) on data made at (11 nm, 0.9), and h_scale = 0 was taken as
+    the default."""
     data = synthesize(11e-9, 0.9, np.linspace(200e-9, 700e-9, 4))
 
     def fail(*args, **kwargs):

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from lifshitz_plates import (
+    CONSTANTS,
     Composite,
     Drude,
+    LayerStack,
     Oscillator,
     OscillatorSum,
     PerfectReflector,
@@ -15,11 +17,10 @@ from lifshitz_plates import (
     as_layer_stack,
     build_rough_plate,
     permittivity_imag_axis,
-    plate_reflection,
-    KinematicPoint,
     static_limit,
     surface_plasma_frequency,
 )
+from lifshitz_plates.stack import _reflection
 
 from conftest import GOLD_GAMMA, GOLD_WP
 
@@ -174,11 +175,10 @@ def test_degenerate_rough_plate_is_bare_bulk():
     plate = build_rough_plate(GOLD_WP, GOLD_GAMMA, 0.0, 1.0)
     stack = as_layer_stack(plate)
     assert stack.layers == ()
-    point = KinematicPoint(xi=2.5e14, k_perp=5e6)
-    from lifshitz_plates import LayerStack
     bare = LayerStack((), Drude(GOLD_WP, GOLD_GAMMA))
-    for pol in ("TE", "TM"):
-        assert plate_reflection(stack, pol, point) == plate_reflection(bare, pol, point)
+    a, xi = 200e-9, 2.5e14
+    u = 2.0 * a * np.hypot(5e6, xi / CONSTANTS.c)
+    assert np.array_equal(_reflection(stack, xi, u, a, u * u), _reflection(bare, xi, u, a, u * u))
 
 
 def test_rough_plate_spec_validation():

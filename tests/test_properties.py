@@ -59,9 +59,10 @@ def test_reflection_is_bounded_by_one(stack, xi, excess):
     """|r_TE| <= 1 and |r_TM| <= 1 for xi > 0 at every q >= xi/c: a passive plate
     never reflects more than it receives."""
     xi = np.array(xi)[:, None]
-    q = (xi / CONSTANTS.c) * (1.0 + np.array(excess))[None, :]
-    r = _reflection(stack, xi, q)
-    assert r.shape == (2,) + q.shape
+    a = 200e-9
+    u = (2.0 * a / CONSTANTS.c) * xi * (1.0 + np.array(excess))[None, :]
+    r = _reflection(stack, xi, u, a, u * u)
+    assert r.shape == (2,) + u.shape
     assert np.all(np.abs(r) <= 1.0)
 
 
