@@ -14,7 +14,7 @@ from lifshitz_plates import (
     BulkMetal,
     EvaluationSettings,
     Measurement,
-    build_rough_plate,
+    RoughPlateSpec,
     eta_sweep,
     ev_to_angular_frequency,
     fit_roughness,
@@ -27,8 +27,7 @@ TRUE_H, TRUE_F = 11e-9, 0.9
 def main(seed=3):
     settings = EvaluationSettings(temperature=300.0)
     d_grid = np.linspace(162e-9, 746e-9, 30)
-    plate = build_rough_plate(GOLD.plasma_frequency, GOLD.relaxation_frequency, TRUE_H, TRUE_F)
-    table = eta_sweep(plate, d_grid, settings)
+    table = eta_sweep(RoughPlateSpec(GOLD, TRUE_H, TRUE_F), d_grid, settings)
 
     rng = np.random.default_rng(seed)
     noisy = table.eta * (1.0 + 0.002 * rng.standard_normal(len(table.eta)))
@@ -49,10 +48,7 @@ def main(seed=3):
     sigma_h, sigma_f = np.sqrt(np.diag(result.covariance))
     print(f"standard errors from s^2 (J^T J)^-1: h +- {sigma_h * 1e9:.2f} nm, f +- {sigma_f:.4f}")
 
-    residuals = eta_sweep(
-        build_rough_plate(GOLD.plasma_frequency, GOLD.relaxation_frequency, result.h, result.f),
-        d_grid, settings
-    ).eta - noisy
+    residuals = eta_sweep(RoughPlateSpec(GOLD, result.h, result.f), d_grid, settings).eta - noisy
     print(f"residuals: rms = {np.sqrt(np.mean(residuals**2)):.2e}, "
           f"max |r| = {np.max(np.abs(residuals)):.2e}")
 

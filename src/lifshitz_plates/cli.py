@@ -45,7 +45,7 @@ from .engine import (
     eta_sweep,
 )
 from .fit import fit_roughness, load_measurements
-from .materials import BulkMetal, OscillatorSum, PerfectReflector, build_rough_plate
+from .materials import BulkMetal, OscillatorSum, PerfectReflector, RoughPlateSpec
 from .stack import LayerStack
 
 _MODELS = ("drude", "plasma", "two-layer", "perfect")
@@ -137,7 +137,7 @@ def _resolve(args) -> argparse.Namespace:
                    for osc in material.get("oscillators", [])]
     args.material = BulkMetal(ev_to_angular_frequency(material["plasma_frequency_eV"]),
                               ev_to_angular_frequency(material["relaxation_eV"]),
-                              OscillatorSum(oscillators) if oscillators else None)
+                              OscillatorSum(oscillators))
     try:
         args.settings = EvaluationSettings(
             temperature=args.temp, zero_temperature=args.t0 or config.get("zero_temperature", False),
@@ -175,9 +175,7 @@ def _build_plate(args, token: str | None = None):
         raise ConfigError("two-layer model requires key 'h_nm' (flag --h-nm)")
     elif f is None:
         raise ConfigError("two-layer model requires key 'f' (flag --f)")
-    material = args.material
-    plate = build_rough_plate(material.plasma_frequency, material.relaxation_frequency,
-                              h_nm * 1e-9, f, material.interband)
+    plate = RoughPlateSpec(args.material, h_nm * 1e-9, f)
     if name == "two-layer":
         return plate
     # the Drude plate is the rough plate's bulk, the plasma plate its surface at f = 1
@@ -201,8 +199,9 @@ def _grid_from(args) -> np.ndarray:
     return np.linspace(start, stop, points) * 1e-6
 
 
-def _emit(lines: list[str], out_path: str | None) -> None:
-    text = "\n".join(lines) + "\n"
+def _emit(header: str, columns, out_path: str | None) -> None:
+    """Write the CSV table ``header``, then row i of the equal-length ``columns``."""
+    text = "\n".join([header] + [",".join(map(_fmt, row)) for row in zip(*columns)]) + "\n"
     if out_path:
         Path(out_path).write_text(text)
     else:
@@ -211,17 +210,14 @@ def _emit(lines: list[str], out_path: str | None) -> None:
 
 def cmd_pressure(args) -> int:
     table = eta_sweep(_build_plate(args), [args.d_um * 1e-6], args.settings)
-    row = [_fmt(args.d_um), _fmt(table.a[0]), _fmt(table.pressure[0]), _fmt(table.eta[0])]
-    _emit(["d_um,a_m,P_Pa,eta", ",".join(row)], args.out)
+    _emit("d_um,a_m,P_Pa,eta", [[args.d_um], table.a, table.pressure, table.eta], args.out)
     return 0
 
 
 def cmd_sweep(args) -> int:
     table = eta_sweep(_build_plate(args), _grid_from(args), args.settings)
-    lines = ["d_um,a_um,P_Pa,P_id_Pa,eta"]
-    for d, a, p, p_id, eta in table.rows():
-        lines.append(",".join([_fmt(d * 1e6), _fmt(a * 1e6), _fmt(p), _fmt(p_id), _fmt(eta)]))
-    _emit(lines, args.out)
+    _emit("d_um,a_um,P_Pa,P_id_Pa,eta", [table.d * 1e6, table.a * 1e6, table.pressure,
+                                         table.pressure_ideal, table.eta], args.out)
     return 0
 
 
@@ -233,15 +229,11 @@ def cmd_compare(args) -> int:
     tokens = args.model
     if len(tokens) < 2:
         raise ConfigError("compare needs at least two --model selectors")
-    d_values = _grid_from(args)
+    d_values = np.sort(_grid_from(args))
     columns = [eta_sweep(_build_plate(args, token), d_values, args.settings).eta
                for token in tokens]
-    max_delta = np.ptp(np.stack(columns), axis=0)
-    lines = ["d_um," + ",".join(_column_label(t) for t in tokens) + ",max_pairwise_delta"]
-    for i, d in enumerate(np.sort(d_values)):
-        fields = [_fmt(d * 1e6)] + [_fmt(col[i]) for col in columns] + [_fmt(max_delta[i])]
-        lines.append(",".join(fields))
-    _emit(lines, args.out)
+    _emit("d_um," + ",".join(_column_label(t) for t in tokens) + ",max_pairwise_delta",
+          [d_values * 1e6, *columns, np.ptp(np.stack(columns), axis=0)], args.out)
     return 0
 
 
@@ -260,13 +252,10 @@ def cmd_fit(args) -> int:
                           for key, value in dataclasses.asdict(settings).items()}
     sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
 
-    plate = build_rough_plate(material.plasma_frequency, material.relaxation_frequency,
-                              result.h, result.f, material.interband)
-    table = eta_sweep(plate, [m.d for m in data], settings)
-    lines = ["d_um,eta_obs,eta_fit,residual"]
-    for m, eta in zip(data, table.eta):  # both ascending in d
-        lines.append(",".join([_fmt(m.d * 1e6), _fmt(m.eta), _fmt(eta), _fmt(eta - m.eta)]))
-    _emit(lines, args.out or "fit_residuals.csv")
+    d, eta_obs = np.array([(m.d, m.eta) for m in data]).T  # ascending in d, as the sweep
+    eta = eta_sweep(RoughPlateSpec(material, result.h, result.f), d, settings).eta
+    _emit("d_um,eta_obs,eta_fit,residual", [d * 1e6, eta_obs, eta, eta - eta_obs],
+          args.out or "fit_residuals.csv")
     return 0 if result.converged else 3
 
 

@@ -164,10 +164,6 @@ class SweepTable:
         if np.any(np.diff(self.d) <= 0.0):
             raise ValueError("separations must be strictly increasing")
 
-    def rows(self):
-        for i in range(len(self.d)):
-            yield (self.d[i], self.a[i], self.pressure[i], self.pressure_ideal[i], self.eta[i])
-
 
 def matsubara_frequency(l, temperature: float):
     """xi_l = 2 pi k_B T l / hbar (rad/s); l may be an integer array."""
@@ -260,17 +256,18 @@ def _wave_terms(stack, a, blocks, temperature, quad_rel_tol, hints):
     Kronrod-Gauss estimate is <= 0.25 ``quad_rel_tol`` max(|hints[i]|, |te +
     tm over the block|); the rows of the blocks that miss it are integrated
     again, each one level finer, at most ``_MAX_REFINEMENTS`` times.  A pass
-    integrates the coarse rows, then the others, each first at xi = 0, then
-    at xi > 0, ascending, ``_BLOCK`` rows a kernel call or as many as hold
-    their nodes (112 of the 60-node coarse rule).  Returns per block its
-    [te, tm] array, or the ``QuadratureBudgetError`` of a block still above
-    its target.
+    integrates the coarse rows (all at xi > 0, as u0 = 0 at xi = 0), then the
+    others, first at xi = 0, then at xi > 0, ascending, ``_BLOCK`` rows a
+    kernel call or as many as hold their nodes (112 of the 60-node coarse
+    rule).  Returns per block its [te, tm] array, or the
+    ``QuadratureBudgetError`` of a block still above its target.
     """
     sizes = [len(b) for b in blocks]
     edges = np.cumsum([0] + sizes)
     xi = matsubara_frequency(np.concatenate(blocks), temperature)
     rows_a = np.repeat(a, sizes)
-    # kernel call order: coarse xi = 0, coarse xi > 0, xi = 0, xi > 0
+    # kernel call order: coarse xi > 0 (kind 1), xi = 0 (2), xi > 0 (3); no
+    # xi = 0 row is coarse, so kind 0 never occurs
     kind = 2 * ~((2.0 * rows_a / CONSTANTS.c) * xi > _COARSE_FROM) + (xi != 0.0)
     values = np.empty((3, len(xi)))
     rows = np.arange(len(xi))

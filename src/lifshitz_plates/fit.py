@@ -30,7 +30,7 @@ from typing import Sequence, TextIO, Union
 import numpy as np
 
 from .engine import EvaluationSettings, MatsubaraTruncationError, QuadratureBudgetError, eta_sweep
-from .materials import BulkMetal, build_rough_plate
+from .materials import BulkMetal, RoughPlateSpec
 
 # Relative distance kept from the domain's open edges: f >= _MARGIN and
 # 2 h (1 - f) <= (1 - _MARGIN) min(d).
@@ -202,9 +202,7 @@ def residuals(
     if not data:
         raise ValueError("no measurements")
     settings = _settings_at(temperature, settings)
-    plate = build_rough_plate(
-        material.plasma_frequency, material.relaxation_frequency, h, f, material.interband
-    )
+    plate = RoughPlateSpec(material, h, f)
     d, eta_obs, sigma = np.array([(m.d, m.eta, m.sigma) for m in data]).T
     eta = np.empty_like(d)
     eta[np.argsort(d)] = eta_sweep(plate, d, settings).eta  # rows come in ascending d

@@ -10,7 +10,7 @@ rough region.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Union
 
 import numpy as np
@@ -195,7 +195,8 @@ def surface_plasma_frequency(plasma_frequency: float, fill_factor: float) -> flo
 
 @dataclass(frozen=True)
 class BulkMetal:
-    """Drude parameters of the bulk conductor plus an optional interband term."""
+    """Drude parameters of the bulk conductor plus an optional interband term;
+    an empty oscillator sum is kept as none."""
 
     plasma_frequency: float      # rad/s
     relaxation_frequency: float  # rad/s
@@ -203,46 +204,37 @@ class BulkMetal:
 
     def __post_init__(self) -> None:
         Drude(self.plasma_frequency, self.relaxation_frequency)  # validates
+        if self.interband is not None and not self.interband.oscillators:
+            object.__setattr__(self, "interband", None)
 
 
 @dataclass(frozen=True)
 class RoughPlateSpec:
-    """Two-layer description of a rough metallic plate.
+    """Two-layer description of a rough metallic plate, built from its metal.
 
-    A thick bulk conductor (Drude, optionally with an interband oscillator
-    sum) covered by a plane-parallel surface layer of thickness
-    ``layer_thickness`` whose permittivity is the dissipation-free plasma
-    model with squared plasma frequency reduced by ``fill_factor``.
+    ``bulk`` is the thick conductor: the material's Drude model.  ``surface``
+    is a plane-parallel layer of thickness ``layer_thickness`` on top of it:
+    the dissipation-free plasma model with squared plasma frequency reduced
+    by ``fill_factor``.  The material's interband sum, if any, is added to
+    both.
     """
 
-    bulk: DielectricModel
-    surface: DielectricModel
+    material: BulkMetal
     layer_thickness: float  # m
     fill_factor: float      # dimensionless
+    bulk: DielectricModel = field(init=False)
+    surface: DielectricModel = field(init=False)
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.layer_thickness < math.inf:
             raise ValueError(f"layer thickness must be >= 0 and finite, got {self.layer_thickness}")
-        if not 0.0 < self.fill_factor <= 1.0:
-            raise ValueError("fill factor must lie in (0, 1]")
-        bulk_w = _find_plasma_frequency(self.bulk, Drude)
-        surf_w = _find_plasma_frequency(self.surface, Plasma)
-        expected = surface_plasma_frequency(bulk_w, self.fill_factor)
-        if not math.isclose(surf_w, expected, rel_tol=1e-12):
-            raise ValueError(
-                "surface plasma frequency must equal sqrt(fill_factor) x bulk plasma frequency"
-            )
-
-
-def _find_plasma_frequency(model: DielectricModel, kind: type) -> float:
-    """Plasma frequency of the unique Drude/Plasma member of ``model``."""
-    if isinstance(model, kind):
-        return model.plasma_frequency
-    if isinstance(model, Composite):
-        hits = [t.plasma_frequency for t in model.terms if isinstance(t, kind)]
-        if len(hits) == 1:
-            return hits[0]
-    raise ValueError(f"expected exactly one {kind.__name__} term in {model!r}")
+        wp, interband = self.material.plasma_frequency, self.material.interband
+        bulk = Drude(wp, self.material.relaxation_frequency)
+        surface = Plasma(surface_plasma_frequency(wp, self.fill_factor))
+        if interband is not None:
+            bulk, surface = Composite((bulk, interband)), Composite((surface, interband))
+        object.__setattr__(self, "bulk", bulk)
+        object.__setattr__(self, "surface", surface)
 
 
 def build_rough_plate(
@@ -252,21 +244,7 @@ def build_rough_plate(
     fill_factor: float,
     interband: OscillatorSum | None = None,
 ) -> RoughPlateSpec:
-    """Assemble the two-layer rough-plate model from bulk gold-like parameters.
-
-    The same interband oscillator sum, when given and non-empty, is added to
-    both the bulk and the surface permittivity; otherwise neither carries it.
-    """
-    bulk: DielectricModel = Drude(plasma_frequency, relaxation_frequency)
-    surface: DielectricModel = Plasma(
-        surface_plasma_frequency(plasma_frequency, fill_factor)
-    )
-    if interband is not None and interband.oscillators:
-        bulk = Composite((bulk, interband))
-        surface = Composite((surface, interband))
-    return RoughPlateSpec(
-        bulk=bulk,
-        surface=surface,
-        layer_thickness=layer_thickness,
-        fill_factor=fill_factor,
-    )
+    """The rough plate of the bulk metal with these Drude parameters and
+    interband sum: ``RoughPlateSpec(BulkMetal(...), layer_thickness, fill_factor)``."""
+    return RoughPlateSpec(BulkMetal(plasma_frequency, relaxation_frequency, interband),
+                          layer_thickness, fill_factor)

@@ -295,6 +295,21 @@ def test_bad_model_or_grid_is_validation_error(capsys, argv, fragment):
     assert (code, out, err) == (2, "", f"error: {fragment}\n")
 
 
+@pytest.mark.parametrize("argv, config, message", [
+    (["--temp", "0"], None, "temperature must be > 0 unless zero_temperature is set"),
+    (["--temp", "nan"], None, "temperature must be finite, got nan"),
+    ([], {"engine": {"quad_rel_tol": 0}}, "quad_rel_tol must lie in (0, 1e-3]"),
+    ([], {"engine": {"l_max": 0}}, "l_max must be an integer >= 1, got 0"),
+], ids=["zero-temperature-without-t0", "nan-temperature", "zero-quad-tol", "zero-l-max"])
+def test_bad_engine_settings_are_validation_errors(capsys, tmp_path, argv, config, message):
+    if config is not None:
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(config))
+        argv = [*argv, "--config", str(path)]
+    code, out, err = run_cli(capsys, "pressure", "0.5", "--model", "drude", *argv)
+    assert (code, out, err) == (2, "", f"error: invalid engine settings: {message}\n")
+
+
 def test_sweep_out_writes_the_table(capsys, tmp_path):
     code, stdout_table, _ = run_cli(capsys, *_sweep_argv())
     assert code == 0

@@ -2,6 +2,7 @@ import decimal
 import io
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from lifshitz_plates import (
     EvaluationSettings,
     Measurement,
+    QuadratureBudgetError,
     dump_measurements,
     fit_roughness,
     ideal_pressure,
@@ -52,6 +54,11 @@ def test_load_nm_unit_and_sorting():
     assert [m.d for m in data] == pytest.approx([150e-9, 300e-9])
 
 
+def test_load_from_an_open_stream():
+    data = load_measurements(io.StringIO("d_nm,eta\n300,0.5\n200,0.4\n"))
+    assert data == [Measurement(200e-9, 0.4), Measurement(300e-9, 0.5)]
+
+
 def test_load_sigma_column():
     data = load_measurements("d_um,eta,sigma\n0.3,0.6,0.01\n")
     assert data[0].sigma == 0.01
@@ -74,11 +81,16 @@ def test_load_error_carries_line_number():
 def test_load_rejects_unknown_unit():
     with pytest.raises(ValueError, match="unknown unit"):
         load_measurements("d_mm,eta\n0.3,0.6\n")
+    with pytest.raises(ValueError, match="^unknown unit suffix 'd_mm'; use d_um or d_nm$"):
+        dump_measurements([Measurement(3e-7, 0.5)], io.StringIO(), unit="d_mm")
 
 
 def test_load_rejects_bad_header():
     with pytest.raises(ValueError, match="header"):
         load_measurements("d_um,value\n0.3,0.6\n")
+    message = "expected exactly one separation column, got ['d_um', 'd_nm', 'eta']"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        load_measurements("d_um,d_nm,eta\n0.3,300,0.6\n")
 
 
 def test_load_rejects_empty_input():
@@ -468,6 +480,27 @@ def test_fit_runs_in_process_when_fork_fails(acceptance_data, gold, monkeypatch)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     _assert_same_fit(fit_roughness(acceptance_data, (5e-9, 0.8), gold, 300.0),
                      _in_process(monkeypatch, acceptance_data, (5e-9, 0.8), gold, 300.0))
+
+
+def test_fit_rejects_a_trial_the_engine_refuses(acceptance_data, gold, monkeypatch):
+    """A trial point whose sweep raises an engine error is rejected like a
+    worse one: the damping grows and the fit still reaches its minimum, at
+    the cost of the refused evaluation."""
+    clean = _in_process(monkeypatch, acceptance_data, (5e-9, 0.8), gold, 300.0)
+    sweep, calls = fit_module.eta_sweep, []
+
+    def refusing_the_first_trial(*args):
+        calls.append(args)
+        if len(calls) == 4:  # after the start and its two Jacobian columns
+            raise QuadratureBudgetError(1e-7, "first trial", 1.0, 0.5)
+        return sweep(*args)
+
+    monkeypatch.setattr(fit_module, "eta_sweep", refusing_the_first_trial)
+    result = _in_process(monkeypatch, acceptance_data, (5e-9, 0.8), gold, 300.0)
+    assert result.converged
+    assert len(calls) == result.n_evaluations == clean.n_evaluations + 1
+    assert result.h == pytest.approx(clean.h, rel=1e-11)
+    assert result.f == pytest.approx(clean.f, rel=1e-11)
 
 
 @requires_fork

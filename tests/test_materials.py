@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from lifshitz_plates import (
     CONSTANTS,
+    BulkMetal,
     Composite,
     Drude,
     LayerStack,
@@ -165,6 +167,7 @@ def test_build_rough_plate_interband_in_both_or_neither():
 def test_build_rough_plate_empty_interband_equals_none():
     with_empty = build_rough_plate(GOLD_WP, GOLD_GAMMA, 11e-9, 0.9, OscillatorSum())
     without = build_rough_plate(GOLD_WP, GOLD_GAMMA, 11e-9, 0.9)
+    assert with_empty == without
     for model_a, model_b in ((with_empty.bulk, without.bulk), (with_empty.surface, without.surface)):
         eps_a = permittivity_imag_axis(model_a, XI_GRID)
         eps_b = permittivity_imag_axis(model_b, XI_GRID)
@@ -181,14 +184,19 @@ def test_degenerate_rough_plate_is_bare_bulk():
     assert np.array_equal(_reflection(stack, xi, u, a, u * u), _reflection(bare, xi, u, a, u * u))
 
 
+def test_rough_plate_spec_builds_its_models_from_the_material():
+    """The bulk and surface models follow (material, h, f), so replacing one
+    input gives the plate built from the new inputs."""
+    interband = OscillatorSum([(4.2e31, 3.1e15, 2.4e14)])
+    plate = RoughPlateSpec(BulkMetal(GOLD_WP, GOLD_GAMMA, interband), 11e-9, 0.9)
+    assert plate == build_rough_plate(GOLD_WP, GOLD_GAMMA, 11e-9, 0.9, interband)
+    thinner = dataclasses.replace(plate, fill_factor=0.5)
+    assert thinner == build_rough_plate(GOLD_WP, GOLD_GAMMA, 11e-9, 0.5, interband)
+    assert thinner.surface == Composite((Plasma(surface_plasma_frequency(GOLD_WP, 0.5)),
+                                         interband))
+
+
 def test_rough_plate_spec_validation():
-    with pytest.raises(ValueError, match="surface plasma frequency"):
-        RoughPlateSpec(
-            bulk=Drude(GOLD_WP, GOLD_GAMMA),
-            surface=Plasma(GOLD_WP),  # should be sqrt(0.9) * GOLD_WP
-            layer_thickness=11e-9,
-            fill_factor=0.9,
-        )
     with pytest.raises(ValueError):
         build_rough_plate(GOLD_WP, GOLD_GAMMA, -1e-9, 0.9)
     with pytest.raises(ValueError):
@@ -257,4 +265,4 @@ def test_non_finite_rough_layer_thickness_is_refused(h):
     with pytest.raises(ValueError, match=message):
         build_rough_plate(GOLD_WP, GOLD_GAMMA, h, 0.9)
     with pytest.raises(ValueError, match=message):
-        RoughPlateSpec(Drude(GOLD_WP, GOLD_GAMMA), Plasma(GOLD_WP), h, 1.0)
+        RoughPlateSpec(BulkMetal(GOLD_WP, GOLD_GAMMA), h, 1.0)
