@@ -48,7 +48,7 @@ def main(seed=3):
     sigma_h, sigma_f = np.sqrt(np.diag(result.covariance))
     print(f"standard errors from s^2 (J^T J)^-1: h +- {sigma_h * 1e9:.2f} nm, f +- {sigma_f:.4f}")
 
-    residuals = eta_sweep(RoughPlateSpec(GOLD, result.h, result.f), d_grid, settings).eta - noisy
+    residuals = result.residuals
     print(f"residuals: rms = {np.sqrt(np.mean(residuals**2)):.2e}, "
           f"max |r| = {np.max(np.abs(residuals)):.2e}")
 

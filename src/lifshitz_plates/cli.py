@@ -252,9 +252,9 @@ def cmd_fit(args) -> int:
                           for key, value in dataclasses.asdict(settings).items()}
     sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
 
-    d, eta_obs = np.array([(m.d, m.eta) for m in data]).T  # ascending in d, as the sweep
-    eta = eta_sweep(RoughPlateSpec(material, result.h, result.f), d, settings).eta
-    _emit("d_um,eta_obs,eta_fit,residual", [d * 1e6, eta_obs, eta, eta - eta_obs],
+    d, eta_obs, sigma = np.array([(m.d, m.eta, m.sigma) for m in data]).T
+    residual = sigma * result.residuals
+    _emit("d_um,eta_obs,eta_fit,residual", [d * 1e6, eta_obs, eta_obs + residual, residual],
           args.out or "fit_residuals.csv")
     return 0 if result.converged else 3
 

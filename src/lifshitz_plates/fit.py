@@ -6,10 +6,10 @@ chi^2 = |r|^2 is minimized by projected Levenberg-Marquardt in
 x = (h / h_scale, f).  Every point tried lies in the parameter domain and
 inside the feasibility bound 2 h (1 - f) < min(d), so every gap
 a = d - 2 h (1 - f) is positive.  A second run from a fixed start escapes
-the basin near f -> 0, where the layer acts almost like vacuum.  Where the
-process may fork, may use two CPUs and runs one Python thread, that run goes
-to a forked child while the first runs here; the result is bit-identical to
-running both here, one after the other.
+the basin near f -> 0, where the layer acts almost like vacuum; each run has
+its own evaluation budget.  Where the process may fork, may use two CPUs and
+runs one Python thread, that run goes to a forked child while the first runs
+here; the result is bit-identical to running both here, one after the other.
 """
 
 from __future__ import annotations
@@ -66,6 +66,7 @@ class FitResult:
     ``h_f_covariance_proxy`` is 2 J^T J, the Gauss-Newton curvature of chi^2.
     ``covariance`` is s^2 (J^T J)^-1 with s^2 = chi^2 / (N - 2); its entries
     are non-finite when J^T J is singular (as at h = 0) or N <= 2.
+    ``residuals`` are the weighted residuals at (h, f), in the data's order.
     """
 
     h: float
@@ -75,6 +76,7 @@ class FitResult:
     converged: bool
     h_f_covariance_proxy: np.ndarray
     covariance: np.ndarray
+    residuals: np.ndarray
 
     def to_dict(self) -> dict:
         return {
@@ -248,18 +250,16 @@ def fit_roughness(
     propagates, and at the fixed start drops that run.  ``converged`` means
     the kept run passed a step and a gradient test set against eta's own
     noise, ``quad_rel_tol`` relative.  ``max_evaluations``, an integer >= 3,
-    counts residual evaluations of both runs; when it runs out the best point
-    so far is returned with ``converged=False``.
+    caps each run's residual evaluations (``n_evaluations`` counts both runs);
+    a run that uses it up ends at its best point so far, unconverged.
 
     The fixed-start run goes to a child made by ``os.fork`` while the first
     run goes on here, unless fork or ``os.sched_getaffinity`` is missing, this
     process may use one CPU only, another Python thread is alive, or the
-    second run cannot start (the starts coincide or ``max_evaluations`` < 6).
-    Either way the result is bit-identical: the child's run is used only
-    where the in-order one would have gone the same way, and is repeated
-    here otherwise, as it is when it raised or warned.  The child is killed
-    and reaped before the call returns or raises; one that exits without a
-    result raises ``RuntimeError``.
+    starts coincide.  Either way the result is bit-identical: the child's run
+    is the in-order one, and is repeated here only when it raised or warned.
+    The child is killed and reaped before the call returns or raises; one
+    that exits without a result raises ``RuntimeError``.
     """
     if not data:
         raise ValueError("no measurements")
@@ -272,9 +272,10 @@ def fit_roughness(
         raise ValueError(f"h_scale must be > 0 and finite, got {h_scale}")
     h0, f0 = init
     if not 0.0 <= h0 <= h_max:
-        raise ValueError("initial h must lie in [0, h_max]")
+        raise ValueError(f"initial h must lie in [0, h_max]: h0 = {float(h0)!r} m, "
+                         f"h_max = {float(h_max)!r} m")
     if not 0.0 < f0 <= 1.0:
-        raise ValueError("initial f must lie in (0, 1]")
+        raise ValueError(f"initial f must lie in (0, 1]: f0 = {float(f0)!r}")
     offset = 2.0 * h0 * (1.0 - f0)
     d_min = min(m.d for m in data)
     if offset >= d_min:
@@ -296,47 +297,33 @@ def fit_roughness(
         h_top = h_max if f == 1.0 else min(h_max, (1.0 - _MARGIN) * d_min / (2.0 * (1.0 - f)))
         return np.array([min(max(x[0], 0.0), h_top / h_scale), f])
 
-    def run_from(x, limit, dropped=()):
-        """LM from ``x`` within ``limit`` evaluations: (run, evaluations, least
-        budget() returned); run is None when it raised one of ``dropped``."""
-        count, least = 0, math.inf
+    def run_from(x, dropped=()):
+        """LM from ``x``: (run, evaluations); run is None if it raised one of ``dropped``."""
+        count = 0
 
         def residual(y):
             nonlocal count
             count += 1
             return residuals(y[0] * h_scale, y[1], data, material, temperature, settings)
 
-        def budget():
-            nonlocal least
-            least = min(least, limit - count)
-            return limit - count
-
         try:
-            return _levenberg_marquardt(residual, x, project, noise, step, budget), count, least
+            return _levenberg_marquardt(residual, x, project, noise, step,
+                                        lambda: max_evaluations - count), count
         except dropped:
-            return None, count, least
+            return None, count
 
-    # The fixed-start run gets the evaluations the first run leaves, and only
-    # if at least 3 are left.  As the first run takes at least 3, a child can
-    # run it with max_evaluations - 3 before that count is known: its run is
-    # the in-order one when no budget() it saw fell below the first run's
-    # count, else the run is repeated here with the exact budget.
     starts = [project(np.array([h0 / h_scale, f0])), project(np.array([1.0, 0.5]))]
-    second = not np.array_equal(*starts) and max_evaluations >= 6
+    second = not np.array_equal(*starts)
     fork = (second and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
             and len(os.sched_getaffinity(0)) > 1 and threading.active_count() == 1)
-    with (_forked(lambda: run_from(starts[1], max_evaluations - 3, _ENGINE_ERRORS)) if fork
+    with (_forked(lambda: run_from(starts[1], _ENGINE_ERRORS)) if fork
           else contextlib.nullcontext()) as child_reply:
-        first, evaluations, _ = run_from(starts[0], max_evaluations)
-        runs = [first]
-        if second and max_evaluations - evaluations >= 3:
+        replies = [run_from(starts[0])]
+        if second:
             reply = child_reply() if child_reply else None
-            if reply is None or reply[2] < evaluations:
-                reply = run_from(starts[1], max_evaluations - evaluations, _ENGINE_ERRORS)
-            if reply[0] is not None:
-                runs.append(reply[0])
-            evaluations += reply[1]
-    x_best, chi2, jac, converged = min(runs, key=lambda run: run[1])
+            replies.append(reply or run_from(starts[1], _ENGINE_ERRORS))
+    runs = [run for run, _ in replies if run is not None]
+    x_best, chi2, jac, converged, r = min(runs, key=lambda run: run[1])
     jac = jac / np.array([h_scale, 1.0])
     curvature = jac.T @ jac
     curvature = 0.5 * (curvature + curvature.T)
@@ -348,10 +335,11 @@ def fit_roughness(
         h=float(x_best[0] * h_scale),
         f=float(x_best[1]),
         chi2=chi2,
-        n_evaluations=evaluations,
+        n_evaluations=sum(count for _, count in replies),
         converged=converged,
         h_f_covariance_proxy=2.0 * curvature,
         covariance=covariance,
+        residuals=r,
     )
 
 
@@ -419,7 +407,7 @@ def _jacobian(residual, x, r, project, step):
 
 def _levenberg_marquardt(residual, x, project, noise, step, budget):
     """Projected Levenberg-Marquardt from the feasible ``x``; returns
-    (x, chi2, J, converged).
+    (x, chi2, J, converged, r), with r the residuals at x.
 
     Errors at ``x`` propagate; a trial whose residual or Jacobian raises an
     engine error is rejected.  A trial costs one evaluation, and an accepted
@@ -450,7 +438,7 @@ def _levenberg_marquardt(residual, x, project, noise, step, budget):
         small_grad = np.all(np.abs(grad[free]) <= np.linalg.norm(jac[:, free], axis=0)
                             * (noise + step * r_norm) + noise / step * r_norm)
         if small_step and small_grad:
-            return x, chi2, jac, True
+            return x, chi2, jac, True, r
         if budget() < 3:
             break
         try:
@@ -463,4 +451,4 @@ def _levenberg_marquardt(residual, x, project, noise, step, budget):
         except _ENGINE_ERRORS:
             pass
         lam *= 10.0
-    return x, float(r @ r), jac, False
+    return x, float(r @ r), jac, False, r

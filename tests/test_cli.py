@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -19,6 +20,8 @@ from lifshitz_plates import (
     ev2_to_angular_frequency2,
     ev_to_angular_frequency,
 )
+from lifshitz_plates import cli
+from lifshitz_plates import fit as fit_module
 from lifshitz_plates.cli import main
 
 from conftest import GOLD_GAMMA, GOLD_WP
@@ -204,6 +207,43 @@ def test_fit_zero_temperature_switch(capsys, tmp_path, synthesize):
     assert report["settings"]["zero_temperature"] is True
     assert report["h_nm"] == pytest.approx(11.0, abs=1.0)
     assert report["f"] == pytest.approx(0.9, abs=0.05)
+
+
+def test_fit_sweeps_only_for_its_evaluations(capsys, tmp_path, synthesize, monkeypatch):
+    """The residual table comes from the fit's own residuals at (h, f): the
+    command makes no sweep beyond the fit's evaluations."""
+    data_path = tmp_path / "meas.csv"
+    dump_measurements(synthesize(11e-9, 0.9, np.linspace(200e-9, 700e-9, 6), noise=0.002,
+                                 seed=5, weighted=True), data_path)
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return eta_sweep(*args)
+
+    monkeypatch.setattr(fit_module, "eta_sweep", counting)
+    monkeypatch.setattr(cli, "eta_sweep", counting)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)  # no child
+    code, out, _ = run_cli(capsys, "fit", "--data", str(data_path),
+                           "--out", str(tmp_path / "residuals.csv"))
+    assert code == 0
+    assert len(calls) == json.loads(out)["n_evaluations"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--h-nm", "150"], "initial h must lie in [0, h_max]: h0 = 1.5000000000000002e-07 m, "
+                        "h_max = 1e-07 m"),
+    (["--f", "0"], "initial f must lie in (0, 1]: f0 = 0.0"),
+], ids=["h-above-h-max", "f-zero"])
+def test_fit_refuses_a_start_outside_the_domain(capsys, tmp_path, synthesize, argv, message):
+    """The refusal names the start and the bound it breaks; the CLI has no
+    flag for h_max, so the message is the only place it shows."""
+    data_path = tmp_path / "meas.csv"
+    dump_measurements(synthesize(11e-9, 0.9, np.linspace(200e-9, 700e-9, 4)), data_path)
+    code, out, err = run_cli(capsys, "fit", "--data", str(data_path), *argv,
+                             "--out", str(tmp_path / "residuals.csv"))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert not (tmp_path / "residuals.csv").exists()
 
 
 def test_fit_missing_data_file(capsys, tmp_path):

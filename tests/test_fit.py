@@ -252,8 +252,9 @@ def test_fit_converges_at_a_minimum_it_cannot_fit_exactly(gold, shifted_drude_da
     forward differences' rounding error, noise / step per Jacobian column,
     exceeds the gradient, and a test without it ran out at lambda_max with
     converged=False after 148 evaluations (as did a T = 0 fit of 300 K data:
-    206 evaluations).  ``max_evaluations=3`` runs the convergence test at the
-    start alone: it holds at the minimum and not away from it."""
+    206 evaluations).  ``max_evaluations=3`` runs each start's convergence
+    test at that start alone: the kept run's holds at the minimum and not
+    away from it."""
     data = shifted_drude_data
     result = fit_roughness(data, (5e-9, 0.8), gold, 300.0)
     assert result.converged
@@ -395,7 +396,7 @@ def _in_process(monkeypatch, *args, **kwargs):
 def _assert_same_fit(first, second):
     for name in ("h", "f", "chi2", "n_evaluations", "converged"):
         assert getattr(first, name) == getattr(second, name), name
-    for name in ("h_f_covariance_proxy", "covariance"):
+    for name in ("h_f_covariance_proxy", "covariance", "residuals"):
         assert getattr(first, name).tobytes() == getattr(second, name).tobytes(), name
 
 
@@ -407,10 +408,9 @@ def _assert_same_fit(first, second):
 ])
 def test_forked_fit_is_bit_identical_to_the_in_process_fit(request, gold, monkeypatch, forks,
                                                            dataset, max_evaluations):
-    """On the noisy data the first run takes 15 evaluations when it can.  A
-    budget of 6 or 17 leaves the fixed start no run, so the child is killed
-    unused; 25 and 29 bind that run, so it is repeated here; from 30 on the
-    child's run is used."""
+    """On the noisy data the first run takes 15 evaluations when it can.
+    Each run has its own budget, so the child's run is the in-order one
+    whether the budget binds it (6, 17) or not (25 on), and is always used."""
     data = request.getfixturevalue(dataset)
     forked = fit_roughness(data, (5e-9, 0.8), gold, 300.0, max_evaluations=max_evaluations)
     assert len(forks) == 1
@@ -456,10 +456,9 @@ def test_forked_fit_raises_or_drops_as_in_process(acceptance_data, gold, monkeyp
         assert outcomes == [f"refused at h = {at[0]}, f = {at[1]}"] * 2
 
 
-@requires_fork
-def test_a_child_that_exits_without_its_result_raises(acceptance_data, gold, monkeypatch, forks):
-    parent = os.getpid()
-    residuals = fit_module.residuals
+def _die_in_the_child(monkeypatch):
+    """Make a forked fit's child exit, without its result, at its first evaluation."""
+    parent, residuals = os.getpid(), fit_module.residuals
 
     def dying_in_the_child(h, f, *args):
         if os.getpid() != parent:
@@ -467,6 +466,11 @@ def test_a_child_that_exits_without_its_result_raises(acceptance_data, gold, mon
         return residuals(h, f, *args)
 
     monkeypatch.setattr(fit_module, "residuals", dying_in_the_child)
+
+
+@requires_fork
+def test_a_child_that_exits_without_its_result_raises(acceptance_data, gold, monkeypatch, forks):
+    _die_in_the_child(monkeypatch)
     with pytest.raises(RuntimeError, match=r"^fit child process \d+ exited without sending its"):
         fit_roughness(acceptance_data, (5e-9, 0.8), gold, 300.0)
     assert len(forks) == 1
@@ -504,9 +508,44 @@ def test_fit_rejects_a_trial_the_engine_refuses(acceptance_data, gold, monkeypat
 
 
 @requires_fork
-@pytest.mark.parametrize("start, max_evaluations", [((10e-9, 0.5), 2000), ((5e-9, 0.8), 5)],
-                         ids=["equal-starts", "no-budget-for-a-second-run"])
-def test_fit_without_a_second_run_makes_no_child(acceptance_data, gold, forks, start,
-                                                 max_evaluations):
-    fit_roughness(acceptance_data, start, gold, 300.0, max_evaluations=max_evaluations)
+@pytest.mark.parametrize("start", [(10e-9, 0.5)], ids=["equal-starts"])
+def test_fit_without_a_second_run_makes_no_child(acceptance_data, gold, forks, start):
+    fit_roughness(acceptance_data, start, gold, 300.0)
     assert forks == []
+
+
+@requires_fork
+def test_each_run_has_its_own_evaluation_budget(acceptance_data, gold, monkeypatch, forks):
+    """A budget of 5 lets each run evaluate its start and that start's
+    Jacobian, 3 evaluations, but no trial, which needs 3 more to be left:
+    both runs go, the second in a child, for 6 evaluations in all."""
+    forked = fit_roughness(acceptance_data, (5e-9, 0.8), gold, 300.0, max_evaluations=5)
+    assert len(forks) == 1
+    assert forked.n_evaluations == 6 and not forked.converged
+    _assert_same_fit(forked, _in_process(monkeypatch, acceptance_data, (5e-9, 0.8), gold, 300.0,
+                                         max_evaluations=5))
+
+
+def test_fit_returns_the_residuals_at_its_point(noisy_data, gold, monkeypatch):
+    """The weighted residuals of the kept run, computed at exactly (h, f), in
+    the order of the data: no further sweep is needed to report them."""
+    data = noisy_data[::-1]
+    result = _in_process(monkeypatch, data, (5e-9, 0.8), gold, 300.0)
+    expected = fit_module.residuals(result.h, result.f, data, gold, 300.0)
+    assert result.residuals.tobytes() == expected.tobytes()
+    assert result.chi2 == float(expected @ expected)
+
+
+@requires_fork
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_forked_fits_leave_no_descriptor_open(acceptance_data, gold, monkeypatch, forks):
+    """Neither a fit's pipe to its child nor a child that dies without its
+    result leaves a file descriptor open here."""
+    before = sorted(os.listdir("/proc/self/fd"))
+    for start in [(5e-9, 0.8), (9e-9, 0.85), (20e-9, 0.9), (2e-9, 0.95), (30e-9, 0.7)]:
+        fit_roughness(acceptance_data, start, gold, 300.0, max_evaluations=10)
+    _die_in_the_child(monkeypatch)
+    with pytest.raises(RuntimeError, match="exited without sending its result"):
+        fit_roughness(acceptance_data, (5e-9, 0.8), gold, 300.0)
+    assert len(forks) == 6
+    assert sorted(os.listdir("/proc/self/fd")) == before
