@@ -12,7 +12,6 @@ from .materials import (
     DielectricModel,
     Drude,
     Oscillator,
-    OscillatorSum,
     PerfectReflector,
     Plasma,
     RoughPlateSpec,
@@ -60,7 +59,6 @@ __all__ = [
     "MatsubaraTruncationError",
     "Measurement",
     "Oscillator",
-    "OscillatorSum",
     "PerfectReflector",
     "PhysicalConstants",
     "Plasma",

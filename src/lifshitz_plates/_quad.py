@@ -88,9 +88,7 @@ class PanelRule:
         e = self.edges
         return PanelRule.from_edges(np.sort(np.concatenate([e, 0.5 * (e[:-1] + e[1:])])))
 
-    def coarse(self) -> "PanelRule":
-        """Rule on every other edge, the last edge kept: coarse(refined(R)) is R."""
-        return PanelRule.from_edges(np.append(self.edges[:-1:2], self.edges[-1]))
-
 
 DEFAULT_RULE = PanelRule.from_edges(DEFAULT_EDGES)
+# DEFAULT_RULE one level coarser: every other edge, the last edge kept
+COARSE_RULE = PanelRule.from_edges(np.append(DEFAULT_EDGES[:-1:2], DEFAULT_EDGES[-1]))

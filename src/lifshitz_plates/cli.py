@@ -45,7 +45,7 @@ from .engine import (
     eta_sweep,
 )
 from .fit import fit_roughness, load_measurements
-from .materials import BulkMetal, OscillatorSum, PerfectReflector, RoughPlateSpec
+from .materials import BulkMetal, PerfectReflector, RoughPlateSpec
 from .stack import LayerStack
 
 _MODELS = ("drude", "plasma", "two-layer", "perfect")
@@ -137,7 +137,7 @@ def _resolve(args) -> argparse.Namespace:
                    for osc in material.get("oscillators", [])]
     args.material = BulkMetal(ev_to_angular_frequency(material["plasma_frequency_eV"]),
                               ev_to_angular_frequency(material["relaxation_eV"]),
-                              OscillatorSum(oscillators))
+                              oscillators)
     try:
         args.settings = EvaluationSettings(
             temperature=args.temp, zero_temperature=args.t0 or config.get("zero_temperature", False),
@@ -229,7 +229,7 @@ def cmd_compare(args) -> int:
     tokens = args.model
     if len(tokens) < 2:
         raise ConfigError("compare needs at least two --model selectors")
-    d_values = np.sort(_grid_from(args))
+    d_values = _grid_from(args)
     columns = [eta_sweep(_build_plate(args, token), d_values, args.settings).eta
                for token in tokens]
     _emit("d_um," + ",".join(_column_label(t) for t in tokens) + ",max_pairwise_delta",
@@ -243,7 +243,7 @@ def cmd_fit(args) -> int:
         data = load_measurements(args.data)
     except OSError as exc:
         raise ConfigError(f"cannot read data file: {exc}") from exc
-    init = ((5.0 if args.h_nm is None else args.h_nm) * 1e-9, 0.8 if args.f is None else args.f)
+    init = ((5.0 if args.h_nm is None else args.h_nm) / 1e9, 0.8 if args.f is None else args.f)
     result = fit_roughness(data, init, material, settings.temperature, settings=settings)
 
     report = result.to_dict()

@@ -36,7 +36,7 @@ from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
-from ._quad import DEFAULT_RULE, PanelRule
+from ._quad import COARSE_RULE, DEFAULT_RULE, PanelRule
 from .constants import CONSTANTS
 from .materials import RoughPlateSpec
 from .stack import LayerStack, _reflection, _static_reflection, as_layer_stack
@@ -251,7 +251,7 @@ def _wave_terms(stack, a, blocks, temperature, quad_rel_tol, hints):
     """Pressure-sum integrands [te, tm] of one block of Matsubara indices per gap.
 
     ``blocks[i]`` holds ascending indices for gap ``a[i]``.  The rows of all
-    blocks share kernel calls, on ``DEFAULT_RULE``, or its coarse rule beyond
+    blocks share kernel calls, on ``DEFAULT_RULE``, or ``COARSE_RULE`` beyond
     u0 = 2 a xi / c = ``_COARSE_FROM``.  Block i is accepted when its summed
     Kronrod-Gauss estimate is <= 0.25 ``quad_rel_tol`` max(|hints[i]|, |te +
     tm over the block|); the rows of the blocks that miss it are integrated
@@ -271,8 +271,7 @@ def _wave_terms(stack, a, blocks, temperature, quad_rel_tol, hints):
     kind = 2 * ~((2.0 * rows_a / CONSTANTS.c) * xi > _COARSE_FROM) + (xi != 0.0)
     values = np.empty((3, len(xi)))
     rows = np.arange(len(xi))
-    # coarse(refined(R)) is R
-    rules = (DEFAULT_RULE.coarse() if (kind < 2).any() else None, DEFAULT_RULE)
+    rules = (COARSE_RULE, DEFAULT_RULE)
     for _ in range(_MAX_REFINEMENTS + 1):
         for k in range(4):
             i = rows[kind[rows] == k]

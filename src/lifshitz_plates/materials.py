@@ -1,10 +1,11 @@
 """Dielectric models evaluated on the positive imaginary frequency axis.
 
 Every model is specified directly as ``eps(i xi)`` with ``xi`` in rad/s; no
-real-frequency response is implemented.  The rough-plate description pairs a
-dissipative bulk conductor with a thin dissipation-free surface layer whose
-squared plasma frequency is reduced by the metallic fill fraction of the
-rough region.
+real-frequency response is implemented.  Plasma is Drude without relaxation,
+and a sum of Lorentz oscillators is a ``Composite``.  The rough-plate
+description pairs a dissipative bulk conductor with a thin dissipation-free
+surface layer whose squared plasma frequency is reduced by the metallic fill
+fraction of the rough region.
 """
 
 from __future__ import annotations
@@ -41,28 +42,23 @@ class Drude:
 
     def __post_init__(self) -> None:
         if not 0.0 < self.plasma_frequency < math.inf:
-            raise ValueError("Drude plasma frequency must be > 0 and finite, "
+            raise ValueError("plasma frequency must be > 0 and finite, "
                              f"got {self.plasma_frequency}")
         if not 0.0 <= self.relaxation_frequency < math.inf:
-            raise ValueError("Drude relaxation frequency must be >= 0 and finite, "
+            raise ValueError("relaxation frequency must be >= 0 and finite, "
                              f"got {self.relaxation_frequency}")
 
 
 @dataclass(frozen=True)
-class Plasma:
-    """Dissipation-free conductor: eps(i xi) = 1 + plasma^2 / xi^2."""
+class Plasma(Drude):
+    """Dissipation-free conductor, Drude without relaxation: eps(i xi) = 1 + plasma^2 / xi^2."""
 
-    plasma_frequency: float  # rad/s
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.plasma_frequency < math.inf:
-            raise ValueError("plasma frequency must be > 0 and finite, "
-                             f"got {self.plasma_frequency}")
+    relaxation_frequency: float = field(default=0.0, init=False)
 
 
 @dataclass(frozen=True)
 class Oscillator:
-    """One Lorentz oscillator: strength / (resonance^2 + xi^2 + damping xi)."""
+    """One Lorentz oscillator: eps(i xi) = 1 + strength / (resonance^2 + xi^2 + damping xi)."""
 
     strength: float   # rad^2/s^2
     resonance: float  # rad/s
@@ -75,24 +71,6 @@ class Oscillator:
             raise ValueError(f"oscillator resonance must be > 0 and finite, got {self.resonance}")
         if not 0.0 <= self.damping < math.inf:
             raise ValueError(f"oscillator damping must be >= 0 and finite, got {self.damping}")
-
-
-@dataclass(frozen=True)
-class OscillatorSum:
-    """Sum of Lorentz oscillators, e.g. an interband-transition contribution.
-
-    The oscillator parameters are user-supplied configuration; the default
-    everywhere in this package is the empty list.
-    """
-
-    oscillators: tuple[Oscillator, ...] = ()
-
-    def __init__(self, oscillators: Iterable = ()) -> None:
-        normalized = tuple(
-            osc if isinstance(osc, Oscillator) else Oscillator(*osc)
-            for osc in oscillators
-        )
-        object.__setattr__(self, "oscillators", normalized)
 
 
 @dataclass(frozen=True)
@@ -109,7 +87,7 @@ class Composite:
         object.__setattr__(self, "terms", terms)
 
 
-DielectricModel = Union[Vacuum, PerfectReflector, Drude, Plasma, OscillatorSum, Composite]
+DielectricModel = Union[Vacuum, PerfectReflector, Drude, Oscillator, Composite]
 
 
 def permittivity_imag_axis(model: DielectricModel, xi: ArrayLike, *,
@@ -132,13 +110,8 @@ def _eps_minus_one(model: DielectricModel, xi: np.ndarray) -> np.ndarray:
         return np.zeros_like(xi)
     if isinstance(model, Drude):
         return model.plasma_frequency**2 / (xi * (xi + model.relaxation_frequency))
-    if isinstance(model, Plasma):
-        return model.plasma_frequency**2 / xi**2
-    if isinstance(model, OscillatorSum):
-        total = np.zeros_like(xi)
-        for osc in model.oscillators:
-            total += osc.strength / (osc.resonance**2 + xi**2 + osc.damping * xi)
-        return total
+    if isinstance(model, Oscillator):
+        return model.strength / (model.resonance**2 + xi**2 + model.damping * xi)
     if isinstance(model, Composite):
         total = np.zeros_like(xi)
         for term in model.terms:
@@ -164,11 +137,8 @@ def static_limit(model: DielectricModel) -> tuple[int, float]:
         if model.relaxation_frequency == 0.0:
             return 2, model.plasma_frequency**2
         return 1, model.plasma_frequency**2 / model.relaxation_frequency
-    if isinstance(model, Plasma):
-        return 2, model.plasma_frequency**2
-    if isinstance(model, OscillatorSum):
-        eps0 = 1.0 + sum(osc.strength / osc.resonance**2 for osc in model.oscillators)
-        return 0, eps0
+    if isinstance(model, Oscillator):
+        return 0, 1.0 + model.strength / model.resonance**2
     if isinstance(model, Composite):
         parts = [static_limit(term) for term in model.terms]
         order = max((o for o, _ in parts), default=0)
@@ -195,17 +165,22 @@ def surface_plasma_frequency(plasma_frequency: float, fill_factor: float) -> flo
 
 @dataclass(frozen=True)
 class BulkMetal:
-    """Drude parameters of the bulk conductor plus an optional interband term;
-    an empty oscillator sum is kept as none."""
+    """Drude parameters of the bulk conductor plus its interband oscillators, each
+    an ``Oscillator`` or a (strength, resonance, damping) triple, nothing else."""
 
     plasma_frequency: float      # rad/s
     relaxation_frequency: float  # rad/s
-    interband: OscillatorSum | None = None
+    interband: tuple[Oscillator, ...] = ()
 
     def __post_init__(self) -> None:
         Drude(self.plasma_frequency, self.relaxation_frequency)  # validates
-        if self.interband is not None and not self.interband.oscillators:
-            object.__setattr__(self, "interband", None)
+        interband = tuple(Oscillator(*t) if isinstance(t, tuple) and len(t) == 3 else t
+                          for t in self.interband)
+        for term in interband:
+            if not isinstance(term, Oscillator):
+                raise ValueError("an interband term must be an Oscillator or a (strength, "
+                                 f"resonance, damping) triple, got {term!r}")
+        object.__setattr__(self, "interband", interband)
 
 
 @dataclass(frozen=True)
@@ -215,8 +190,8 @@ class RoughPlateSpec:
     ``bulk`` is the thick conductor: the material's Drude model.  ``surface``
     is a plane-parallel layer of thickness ``layer_thickness`` on top of it:
     the dissipation-free plasma model with squared plasma frequency reduced
-    by ``fill_factor``.  The material's interband sum, if any, is added to
-    both.
+    by ``fill_factor``.  The sum of the material's interband oscillators, if
+    any, is one more ``Composite`` term of both.
     """
 
     material: BulkMetal
@@ -228,10 +203,10 @@ class RoughPlateSpec:
     def __post_init__(self) -> None:
         if not 0.0 <= self.layer_thickness < math.inf:
             raise ValueError(f"layer thickness must be >= 0 and finite, got {self.layer_thickness}")
-        wp, interband = self.material.plasma_frequency, self.material.interband
+        wp, interband = self.material.plasma_frequency, Composite(self.material.interband)
         bulk = Drude(wp, self.material.relaxation_frequency)
         surface = Plasma(surface_plasma_frequency(wp, self.fill_factor))
-        if interband is not None:
+        if interband.terms:
             bulk, surface = Composite((bulk, interband)), Composite((surface, interband))
         object.__setattr__(self, "bulk", bulk)
         object.__setattr__(self, "surface", surface)
@@ -242,9 +217,9 @@ def build_rough_plate(
     relaxation_frequency: float,
     layer_thickness: float,
     fill_factor: float,
-    interband: OscillatorSum | None = None,
+    interband: tuple[Oscillator, ...] = (),
 ) -> RoughPlateSpec:
     """The rough plate of the bulk metal with these Drude parameters and
-    interband sum: ``RoughPlateSpec(BulkMetal(...), layer_thickness, fill_factor)``."""
+    interband oscillators: ``RoughPlateSpec(BulkMetal(...), layer_thickness, fill_factor)``."""
     return RoughPlateSpec(BulkMetal(plasma_frequency, relaxation_frequency, interband),
                           layer_thickness, fill_factor)

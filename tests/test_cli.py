@@ -11,7 +11,7 @@ from lifshitz_plates import (
     Drude,
     EvaluationSettings,
     LayerStack,
-    OscillatorSum,
+    Oscillator,
     Plasma,
     build_rough_plate,
     dump_measurements,
@@ -231,8 +231,7 @@ def test_fit_sweeps_only_for_its_evaluations(capsys, tmp_path, synthesize, monke
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["--h-nm", "150"], "initial h must lie in [0, h_max]: h0 = 1.5000000000000002e-07 m, "
-                        "h_max = 1e-07 m"),
+    (["--h-nm", "150"], "initial h must lie in [0, h_max]: h0 = 1.5e-07 m, h_max = 1e-07 m"),
     (["--f", "0"], "initial f must lie in (0, 1]: f0 = 0.0"),
 ], ids=["h-above-h-max", "f-zero"])
 def test_fit_refuses_a_start_outside_the_domain(capsys, tmp_path, synthesize, argv, message):
@@ -244,6 +243,16 @@ def test_fit_refuses_a_start_outside_the_domain(capsys, tmp_path, synthesize, ar
                              "--out", str(tmp_path / "residuals.csv"))
     assert (code, out, err) == (2, "", f"error: {message}\n")
     assert not (tmp_path / "residuals.csv").exists()
+
+
+def test_fit_starts_at_h_max(capsys, tmp_path, synthesize):
+    """--h-nm 100 is h_max = 100 nm exactly, a start inside the domain."""
+    data_path = tmp_path / "meas.csv"
+    dump_measurements(synthesize(11e-9, 0.9, np.linspace(200e-9, 700e-9, 4)), data_path)
+    code, out, err = run_cli(capsys, "fit", "--data", str(data_path), "--h-nm", "100",
+                             "--f", "0.9", "--out", str(tmp_path / "residuals.csv"))
+    assert code in (0, 3), err
+    assert json.loads(out)["h_nm"] <= 100.0
 
 
 def test_fit_missing_data_file(capsys, tmp_path):
@@ -375,9 +384,9 @@ def test_config_oscillators_reach_every_metal_plate(capsys, tmp_path):
     assert code == 0
     _, bare_rows = parse_csv(bare_out)
 
-    interband = OscillatorSum([(ev2_to_angular_frequency2(20.0), ev_to_angular_frequency(3.0),
-                                ev_to_angular_frequency(0.5))])
-    spec = build_rough_plate(GOLD_WP, GOLD_GAMMA, 11e-9, 0.9, interband)
+    interband = Composite([Oscillator(ev2_to_angular_frequency2(20.0),
+                                      ev_to_angular_frequency(3.0), ev_to_angular_frequency(0.5))])
+    spec = build_rough_plate(GOLD_WP, GOLD_GAMMA, 11e-9, 0.9, interband.terms)
     plates = [LayerStack((), Composite((Drude(GOLD_WP, GOLD_GAMMA), interband))),
               LayerStack((), Composite((Plasma(GOLD_WP), interband))), spec]
     d_values = np.array([0.5e-6, 1.0e-6])

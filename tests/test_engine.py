@@ -12,7 +12,7 @@ from lifshitz_plates import (
     EvaluationSettings,
     LayerStack,
     MatsubaraTruncationError,
-    OscillatorSum,
+    Oscillator,
     PerfectReflector,
     Plasma,
     SweepTable,
@@ -472,10 +472,10 @@ def test_kernel_matches_k_perp_route(drude_stack, plasma_stack, rough_plate):
     default rule, for conductors, a plasma layer over a perfect mirror and a
     dielectric layer; and on the coarse rule for rows with u0 > 16, where it
     also agrees with the default rule."""
-    interband = OscillatorSum([(ev_to_angular_frequency(6.0) ** 2,
-                                ev_to_angular_frequency(3.0), ev_to_angular_frequency(0.5))])
+    interband = Composite([Oscillator(ev_to_angular_frequency(6.0) ** 2,
+                                      ev_to_angular_frequency(3.0), ev_to_angular_frequency(0.5))])
     stacks = [drude_stack, plasma_stack, as_layer_stack(rough_plate),
-              as_layer_stack(build_rough_plate(GOLD_WP, GOLD_GAMMA, 11e-9, 0.9, interband)),
+              as_layer_stack(build_rough_plate(GOLD_WP, GOLD_GAMMA, 11e-9, 0.9, interband.terms)),
               LayerStack([(Plasma(GOLD_WP), 20e-9)], PerfectReflector()),
               LayerStack([(interband, 50e-9)], drude_stack.substrate)]
     assert isinstance(stacks[3].substrate, Composite)
@@ -484,7 +484,7 @@ def test_kernel_matches_k_perp_route(drude_stack, plasma_stack, rough_plate):
     a_tail = np.array([162e-9, 500e-9, 2e-6])
     xi_tail = matsubara_frequency(np.array([80, 40, 25]), 300.0)
     assert np.all(2.0 * a_tail * xi_tail / CONSTANTS.c > engine._COARSE_FROM)
-    coarse = engine.DEFAULT_RULE.coarse()
+    coarse = engine.COARSE_RULE
     for stack in stacks:
         for rows_a, rows_xi, rule in ((a, xi, engine.DEFAULT_RULE), (a_tail, xi_tail, coarse)):
             te, tm, err = engine._pol_integrals(stack, rows_a, rows_xi, rule)

@@ -11,7 +11,6 @@ from lifshitz_plates import (
     Drude,
     LayerStack,
     Oscillator,
-    OscillatorSum,
     PerfectReflector,
     Plasma,
     RoughPlateSpec,
@@ -74,19 +73,19 @@ def test_perfect_reflector_has_no_permittivity():
 def test_oscillator_sum_formula():
     g, w0, damping = 4.2e31, 3.1e15, 2.4e14
     xi = 8.0e14
-    eps = permittivity_imag_axis(OscillatorSum([(g, w0, damping)]), xi)
+    eps = permittivity_imag_axis(Composite([Oscillator(g, w0, damping)]), xi)
     assert eps == pytest.approx(1.0 + g / (w0**2 + xi**2 + damping * xi), rel=1e-15)
 
 
 def test_empty_oscillator_sum_is_vacuum_like():
-    assert np.all(permittivity_imag_axis(OscillatorSum(), XI_GRID) == 1.0)
+    assert np.all(permittivity_imag_axis(Composite(), XI_GRID) == 1.0)
 
 
 def test_composite_linearity():
     parts = [
         Drude(GOLD_WP, GOLD_GAMMA),
         Plasma(0.5 * GOLD_WP),
-        OscillatorSum([(4.2e31, 3.1e15, 2.4e14)]),
+        Oscillator(4.2e31, 3.1e15, 2.4e14),
     ]
     combined = permittivity_imag_axis(Composite(parts), XI_GRID)
     summed = 1.0 + sum(permittivity_imag_axis(p, XI_GRID) - 1.0 for p in parts)
@@ -97,8 +96,8 @@ def test_composite_linearity():
     Drude(GOLD_WP, GOLD_GAMMA),
     Drude(GOLD_WP, 0.0),
     Plasma(GOLD_WP),
-    OscillatorSum([(4.2e31, 3.1e15, 2.4e14), (1.1e32, 8.5e15, 1.0e15)]),
-    Composite([Drude(GOLD_WP, GOLD_GAMMA), OscillatorSum([(4.2e31, 3.1e15, 2.4e14)])]),
+    Composite([Oscillator(4.2e31, 3.1e15, 2.4e14), Oscillator(1.1e32, 8.5e15, 1.0e15)]),
+    Composite([Drude(GOLD_WP, GOLD_GAMMA), Oscillator(4.2e31, 3.1e15, 2.4e14)]),
     Vacuum(),
 ])
 def test_eps_at_least_one_and_finite(model):
@@ -115,6 +114,15 @@ def test_eps_at_least_one_and_finite(model):
 def test_conductor_eps_monotone_nonincreasing(model):
     eps = permittivity_imag_axis(model, XI_GRID)
     assert np.all(np.diff(eps) <= 0.0)
+
+
+def test_plasma_is_drude_without_relaxation():
+    """Plasma(wp) is Drude(wp, 0.0): the same eps bit for bit, and the same static limit."""
+    plasma, drude = Plasma(GOLD_WP), Drude(GOLD_WP, 0.0)
+    assert isinstance(plasma, Drude) and plasma.relaxation_frequency == 0.0
+    assert np.array_equal(permittivity_imag_axis(plasma, XI_GRID),
+                          permittivity_imag_axis(drude, XI_GRID))
+    assert static_limit(plasma) == static_limit(drude) == (2, GOLD_WP**2)
 
 
 def test_drude_approaches_plasma_for_vanishing_relaxation():
@@ -155,17 +163,17 @@ def test_build_rough_plate_fill_relation():
 
 
 def test_build_rough_plate_interband_in_both_or_neither():
-    interband = OscillatorSum([(4.2e31, 3.1e15, 2.4e14)])
+    interband = (Oscillator(4.2e31, 3.1e15, 2.4e14),)
     plate = build_rough_plate(GOLD_WP, GOLD_GAMMA, 11e-9, 0.9, interband)
-    assert isinstance(plate.bulk, Composite) and interband in plate.bulk.terms
-    assert isinstance(plate.surface, Composite) and interband in plate.surface.terms
+    assert isinstance(plate.bulk, Composite) and Composite(interband) in plate.bulk.terms
+    assert isinstance(plate.surface, Composite) and Composite(interband) in plate.surface.terms
     bare = build_rough_plate(GOLD_WP, GOLD_GAMMA, 11e-9, 0.9)
     assert isinstance(bare.bulk, Drude)
     assert isinstance(bare.surface, Plasma)
 
 
 def test_build_rough_plate_empty_interband_equals_none():
-    with_empty = build_rough_plate(GOLD_WP, GOLD_GAMMA, 11e-9, 0.9, OscillatorSum())
+    with_empty = build_rough_plate(GOLD_WP, GOLD_GAMMA, 11e-9, 0.9, [])
     without = build_rough_plate(GOLD_WP, GOLD_GAMMA, 11e-9, 0.9)
     assert with_empty == without
     for model_a, model_b in ((with_empty.bulk, without.bulk), (with_empty.surface, without.surface)):
@@ -187,13 +195,23 @@ def test_degenerate_rough_plate_is_bare_bulk():
 def test_rough_plate_spec_builds_its_models_from_the_material():
     """The bulk and surface models follow (material, h, f), so replacing one
     input gives the plate built from the new inputs."""
-    interband = OscillatorSum([(4.2e31, 3.1e15, 2.4e14)])
+    interband = [(4.2e31, 3.1e15, 2.4e14)]
     plate = RoughPlateSpec(BulkMetal(GOLD_WP, GOLD_GAMMA, interband), 11e-9, 0.9)
     assert plate == build_rough_plate(GOLD_WP, GOLD_GAMMA, 11e-9, 0.9, interband)
     thinner = dataclasses.replace(plate, fill_factor=0.5)
     assert thinner == build_rough_plate(GOLD_WP, GOLD_GAMMA, 11e-9, 0.5, interband)
     assert thinner.surface == Composite((Plasma(surface_plasma_frequency(GOLD_WP, 0.5)),
-                                         interband))
+                                         Composite([Oscillator(*interband[0])])))
+
+
+@pytest.mark.parametrize("term", [Drude(GOLD_WP, GOLD_GAMMA), Plasma(GOLD_WP), (1e30, 1e15),
+                                  Composite([Oscillator(1e30, 1e15, 0.0)])],
+                         ids=["drude", "plasma", "pair", "composite"])
+def test_bulk_metal_refuses_a_non_oscillator_interband_term(term):
+    """Only oscillators enter the interband term, so a conductor cannot."""
+    with pytest.raises(ValueError, match=r"^an interband term must be an Oscillator or a "
+                                         r"\(strength, resonance, damping\) triple, got "):
+        BulkMetal(GOLD_WP, GOLD_GAMMA, [term])
 
 
 def test_rough_plate_spec_validation():
@@ -210,15 +228,15 @@ def test_static_limits():
     assert static_limit(Drude(GOLD_WP, GOLD_GAMMA)) == (1, GOLD_WP**2 / GOLD_GAMMA)
     assert static_limit(Drude(GOLD_WP, 0.0)) == (2, GOLD_WP**2)
     assert static_limit(Plasma(GOLD_WP)) == (2, GOLD_WP**2)
-    order, eps0 = static_limit(OscillatorSum([(4.2e31, 3.1e15, 2.4e14)]))
+    order, eps0 = static_limit(Oscillator(4.2e31, 3.1e15, 2.4e14))
     assert order == 0
     assert eps0 == pytest.approx(1.0 + 4.2e31 / 3.1e15**2, rel=1e-15)
     order, amp = static_limit(
-        Composite([Drude(GOLD_WP, GOLD_GAMMA), OscillatorSum([(4.2e31, 3.1e15, 2.4e14)])])
+        Composite([Drude(GOLD_WP, GOLD_GAMMA), Oscillator(4.2e31, 3.1e15, 2.4e14)])
     )
     assert (order, amp) == (1, GOLD_WP**2 / GOLD_GAMMA)
     # dielectrics only: the static permittivities' excesses over vacuum add
-    first, second = OscillatorSum([(4.2e31, 3.1e15, 2.4e14)]), OscillatorSum([(1e32, 1e16, 0.0)])
+    first, second = Oscillator(4.2e31, 3.1e15, 2.4e14), Oscillator(1e32, 1e16, 0.0)
     order, eps0 = static_limit(Composite([first, second]))
     assert order == 0
     assert eps0 == pytest.approx(
@@ -241,13 +259,13 @@ def test_model_parameter_validation():
 
 
 @pytest.mark.parametrize("build, name", [
-    (lambda: Drude(math.inf, GOLD_GAMMA), "Drude plasma frequency"),
-    (lambda: Drude(GOLD_WP, math.nan), "Drude relaxation frequency"),
+    (lambda: Drude(math.inf, GOLD_GAMMA), "plasma frequency"),
+    (lambda: Drude(GOLD_WP, math.nan), "relaxation frequency"),
     (lambda: Plasma(math.inf), "plasma frequency"),
     (lambda: Oscillator(math.nan, 1e15, 0.0), "oscillator strength"),
     (lambda: Oscillator(1e30, math.inf, 0.0), "oscillator resonance"),
     (lambda: Oscillator(1e30, 1e15, math.nan), "oscillator damping"),
-    (lambda: OscillatorSum([(1e30, 1e15, math.nan)]), "oscillator damping"),
+    (lambda: BulkMetal(GOLD_WP, GOLD_GAMMA, [(1e30, 1e15, math.nan)]), "oscillator damping"),
 ], ids=["drude-plasma-inf", "drude-relaxation-nan", "plasma-inf", "strength-nan",
         "resonance-inf", "damping-nan", "sum-damping-nan"])
 def test_non_finite_model_parameters_are_refused(build, name):

@@ -16,7 +16,7 @@ from lifshitz_plates import (
     EvaluationSettings,
     LayerStack,
     Measurement,
-    OscillatorSum,
+    Oscillator,
     PerfectReflector,
     Plasma,
     build_rough_plate,
@@ -39,7 +39,7 @@ frequencies = _log_uniform(12.0, 17.5)
 drude = st.builds(Drude, frequencies, st.just(0.0) | _log_uniform(11.0, 16.0))
 plasma = st.builds(Plasma, frequencies)
 oscillators = st.builds(
-    OscillatorSum,
+    lambda triples: Composite([Oscillator(*t) for t in triples]),
     st.lists(st.tuples(_log_uniform(26.0, 34.0), frequencies, st.just(0.0) | frequencies),
              min_size=1, max_size=2))
 conductors = drude | plasma
@@ -97,7 +97,7 @@ PLATES = {
     "rough-11nm": build_rough_plate(GOLD_WP, GOLD_GAMMA, 11e-9, 0.9),
     "rough-100nm": build_rough_plate(GOLD_WP, GOLD_GAMMA, 100e-9, 1.0),
     "layer-over-mirror": LayerStack([(Plasma(GOLD_WP), 20e-9)], PerfectReflector()),
-    "dielectric-layer": LayerStack([(OscillatorSum([(1e32, 1e16, 1e14)]), 50e-9)],
+    "dielectric-layer": LayerStack([(Oscillator(1e32, 1e16, 1e14), 50e-9)],
                                    Drude(GOLD_WP, GOLD_GAMMA)),
 }
 PERFECT = LayerStack((), PerfectReflector())

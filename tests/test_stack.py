@@ -8,7 +8,7 @@ from lifshitz_plates import (
     CONSTANTS,
     Drude,
     LayerStack,
-    OscillatorSum,
+    Oscillator,
     PerfectReflector,
     Plasma,
     Vacuum,
@@ -103,7 +103,7 @@ def test_zero_frequency_plasma(plasma_stack):
 
 def test_zero_frequency_dielectric():
     g, w0 = 4.2e31, 3.1e15
-    stack = LayerStack((), OscillatorSum([(g, w0, 0.0)]))
+    stack = LayerStack((), Oscillator(g, w0, 0.0))
     eps0 = 1.0 + g / w0**2
     k = 2e6
     te, tm = static_reflection(stack, k)
@@ -153,9 +153,9 @@ def test_reflection_bounded_by_one(rough_plate):
         LayerStack((), Drude(GOLD_WP, GOLD_GAMMA)),
         LayerStack((), Plasma(GOLD_WP)),
         as_layer_stack(rough_plate),
-        LayerStack((), OscillatorSum([(4.2e31, 3.1e15, 2.4e14)])),
+        LayerStack((), Oscillator(4.2e31, 3.1e15, 2.4e14)),
         LayerStack(
-            ((Plasma(0.5 * GOLD_WP), 3e-9), (OscillatorSum([(4.2e31, 3.1e15, 0.0)]), 40e-9)),
+            ((Plasma(0.5 * GOLD_WP), 3e-9), (Oscillator(4.2e31, 3.1e15, 0.0), 40e-9)),
             Drude(GOLD_WP, GOLD_GAMMA),
         ),
         LayerStack(((Plasma(0.5 * GOLD_WP), 20e-9),), PerfectReflector()),

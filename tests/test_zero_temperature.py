@@ -9,7 +9,7 @@ from lifshitz_plates import (
     Composite,
     EvaluationSettings,
     LayerStack,
-    OscillatorSum,
+    Oscillator,
     PerfectReflector,
     QuadratureBudgetError,
     as_layer_stack,
@@ -57,8 +57,8 @@ def t0_plates(perfect_stack, drude_stack, plasma_stack, rough_plate):
     """The benchmark's four plates, a Drude layer over a mirror and a Drude
     bulk with an interband oscillator."""
     gold = drude_stack.substrate
-    interband = OscillatorSum([(ev_to_angular_frequency(6.0) ** 2, ev_to_angular_frequency(3.0),
-                                ev_to_angular_frequency(0.5))])
+    interband = Composite([Oscillator(ev_to_angular_frequency(6.0) ** 2,
+                                      ev_to_angular_frequency(3.0), ev_to_angular_frequency(0.5))])
     return {"perfect": perfect_stack, "drude": drude_stack, "plasma": plasma_stack,
             "rough": rough_plate, "drude-on-mirror": LayerStack([(gold, 20e-9)], PerfectReflector()),
             "oscillator-drude": LayerStack((), Composite((gold, interband)))}
