@@ -18,7 +18,6 @@ from lifshitz_plates import (
     matsubara_pressure_term,
     pressure,
     pressure_zero_temperature,
-    reduction_factor,
 )
 
 GOLD = dict(plasma_frequency=ev_to_angular_frequency(8.9),
@@ -41,7 +40,7 @@ def main():
     for a_um in (0.2, 0.5, 1.0, 2.0):
         a = a_um * 1e-6
         p = pressure(gold, a, settings)
-        print(f"  a = {a_um:4.1f} um   P = {p:.6e} Pa   eta = {reduction_factor(p, a):.4f}")
+        print(f"  a = {a_um:4.1f} um   P = {p:.6e} Pa   eta = {p / ideal_pressure(a):.4f}")
 
     print("\nZero-frequency term of the Matsubara sum at a = 200 nm, T = 300 K:")
     term = matsubara_pressure_term(gold, 200e-9, 0, settings)

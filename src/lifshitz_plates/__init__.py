@@ -19,7 +19,6 @@ from .materials import (
     build_rough_plate,
     permittivity_imag_axis,
     static_limit,
-    surface_plasma_frequency,
 )
 from .stack import LayerStack, as_layer_stack
 from .engine import (
@@ -28,7 +27,6 @@ from .engine import (
     PolarizedTerm,
     QuadratureBudgetError,
     SweepTable,
-    average_separation,
     eta_sweep,
     gap_from_average,
     ideal_pressure,
@@ -36,7 +34,6 @@ from .engine import (
     matsubara_pressure_term,
     pressure,
     pressure_zero_temperature,
-    reduction_factor,
 )
 from .fit import (
     FitResult,
@@ -68,7 +65,6 @@ __all__ = [
     "SweepTable",
     "Vacuum",
     "as_layer_stack",
-    "average_separation",
     "build_rough_plate",
     "dump_measurements",
     "eta_sweep",
@@ -84,9 +80,7 @@ __all__ = [
     "permittivity_imag_axis",
     "pressure",
     "pressure_zero_temperature",
-    "reduction_factor",
     "static_limit",
-    "surface_plasma_frequency",
 ]
 
 __version__ = "0.1.0"

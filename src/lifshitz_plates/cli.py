@@ -70,10 +70,6 @@ _KINDS = {float: ((int, float), "a number"), int: ((int,), "an integer"),
           dict: ((dict,), "a JSON object"), list: ((list,), "a list")}
 
 
-class ConfigError(ValueError):
-    """Invalid configuration or command-line input."""
-
-
 def _fmt(x: float) -> str:
     return f"{x:.8e}"
 
@@ -92,11 +88,11 @@ def _resolve(args) -> argparse.Namespace:
         try:
             config = json.loads(Path(args.config).read_text())
         except OSError as exc:
-            raise ConfigError(f"cannot read config file: {exc}") from exc
+            raise ValueError(f"cannot read config file: {exc}") from exc
         except json.JSONDecodeError as exc:
-            raise ConfigError(f"malformed config file: {exc}") from exc
+            raise ValueError(f"malformed config file: {exc}") from exc
         if not isinstance(config, dict):
-            raise ConfigError("config file must contain a JSON object")
+            raise ValueError("config file must contain a JSON object")
 
     def check(value, kind, name: str, required: bool = False) -> None:
         base = kind if isinstance(kind, type) else type(kind)
@@ -105,7 +101,7 @@ def _resolve(args) -> argparse.Namespace:
         else:
             ok, wanted = type(value) in _KINDS[base][0], _KINDS[base][1]
         if not ok:
-            raise ConfigError(f"config key {name!r} must be {wanted}, got {json.dumps(value)}")
+            raise ValueError(f"config key {name!r} must be {wanted}, got {json.dumps(value)}")
         if base is list:
             for i, item in enumerate(value):
                 check(item, kind[0], f"{name}[{i}]", required=True)
@@ -113,11 +109,11 @@ def _resolve(args) -> argparse.Namespace:
             for key in {**kind, **value}:
                 path = f"{name}.{key}" if name else key
                 if key not in kind:
-                    raise ConfigError(f"config key {path!r} is unknown")
+                    raise ValueError(f"config key {path!r} is unknown")
                 if key in value:
                     check(value[key], kind[key], path)
                 elif required:
-                    raise ConfigError(f"config key {path!r} is missing")
+                    raise ValueError(f"config key {path!r} is missing")
 
     check(config, _GRAMMAR, "")
     grid, roughness = config.get("grid", {}), config.get("roughness", {})
@@ -143,7 +139,7 @@ def _resolve(args) -> argparse.Namespace:
             temperature=args.temp, zero_temperature=args.t0 or config.get("zero_temperature", False),
             **config.get("engine", {}))
     except ValueError as exc:
-        raise ConfigError(f"invalid engine settings: {exc}") from exc
+        raise ValueError(f"invalid engine settings: {exc}") from exc
     return args
 
 
@@ -151,30 +147,30 @@ def _build_plate(args, token: str | None = None):
     """Plate object for one model ``token``, by default the one model selector."""
     if token is None:
         if len(args.model) != 1:
-            raise ConfigError(
+            raise ValueError(
                 "exactly one model selector is required (flag --model or config key 'model')")
         (token,) = args.model
     name, _, params_text = token.partition(":")
     if name not in _MODELS:
-        raise ConfigError(f"unknown model {name!r}; choose from {', '.join(_MODELS)}")
+        raise ValueError(f"unknown model {name!r}; choose from {', '.join(_MODELS)}")
     params = {}
     for item in params_text.split(",") if params_text else ():
         key, sep, value = item.partition("=")
         if not sep or key not in ("h_nm", "f"):
-            raise ConfigError(f"bad model parameter {item!r}; use h_nm=<x>,f=<x>")
+            raise ValueError(f"bad model parameter {item!r}; use h_nm=<x>,f=<x>")
         try:
             params[key] = float(value)
         except ValueError:
-            raise ConfigError(f"bad numeric value in model parameter {item!r}") from None
+            raise ValueError(f"bad numeric value in model parameter {item!r}") from None
     if name == "perfect":
         return LayerStack((), PerfectReflector())
     h_nm, f = params.get("h_nm", args.h_nm), params.get("f", args.f)
     if name != "two-layer":
         h_nm, f = 0.0, 1.0
     elif h_nm is None:
-        raise ConfigError("two-layer model requires key 'h_nm' (flag --h-nm)")
+        raise ValueError("two-layer model requires key 'h_nm' (flag --h-nm)")
     elif f is None:
-        raise ConfigError("two-layer model requires key 'f' (flag --f)")
+        raise ValueError("two-layer model requires key 'f' (flag --f)")
     plate = RoughPlateSpec(args.material, h_nm * 1e-9, f)
     if name == "two-layer":
         return plate
@@ -185,13 +181,13 @@ def _build_plate(args, token: str | None = None):
 def _grid_from(args) -> np.ndarray:
     start, stop, points = args.dmin, args.dmax, args.points
     if start is None or stop is None or points is None:
-        raise ConfigError("separation grid needs --dmin, --dmax and --points (or a config grid)")
+        raise ValueError("separation grid needs --dmin, --dmax and --points (or a config grid)")
     if points < 1:
-        raise ConfigError("grid must have at least one point")
+        raise ValueError("grid must have at least one point")
     if points > 1 and not start < stop:
-        raise ConfigError("grid start must be below stop")
+        raise ValueError("grid start must be below stop")
     if not start > 0.0:
-        raise ConfigError("grid start must be > 0")
+        raise ValueError("grid start must be > 0")
     if points == 1:
         return np.array([start * 1e-6])
     if args.log:
@@ -203,7 +199,10 @@ def _emit(header: str, columns, out_path: str | None) -> None:
     """Write the CSV table ``header``, then row i of the equal-length ``columns``."""
     text = "\n".join([header] + [",".join(map(_fmt, row)) for row in zip(*columns)]) + "\n"
     if out_path:
-        Path(out_path).write_text(text)
+        try:
+            Path(out_path).write_text(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write output file: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -228,7 +227,7 @@ def _column_label(token: str) -> str:
 def cmd_compare(args) -> int:
     tokens = args.model
     if len(tokens) < 2:
-        raise ConfigError("compare needs at least two --model selectors")
+        raise ValueError("compare needs at least two --model selectors")
     d_values = _grid_from(args)
     columns = [eta_sweep(_build_plate(args, token), d_values, args.settings).eta
                for token in tokens]
@@ -242,7 +241,7 @@ def cmd_fit(args) -> int:
     try:
         data = load_measurements(args.data)
     except OSError as exc:
-        raise ConfigError(f"cannot read data file: {exc}") from exc
+        raise ValueError(f"cannot read data file: {exc}") from exc
     init = ((5.0 if args.h_nm is None else args.h_nm) / 1e9, 0.8 if args.f is None else args.f)
     result = fit_roughness(data, init, material, settings.temperature, settings=settings)
 
@@ -311,7 +310,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(_resolve(args))
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (MatsubaraTruncationError, QuadratureBudgetError) as exc:

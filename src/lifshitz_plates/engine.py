@@ -184,18 +184,6 @@ def ideal_pressure(d: float) -> float:
     return math.pi**2 * CONSTANTS.hbar * CONSTANTS.c / (240.0 * d**4)
 
 
-def reduction_factor(pressure_value: float, d: float) -> float:
-    """eta = P / P_id at the same average separation."""
-    return pressure_value / ideal_pressure(d)
-
-
-def average_separation(a: float, layer_thickness: float, fill_factor: float) -> float:
-    """Average plate separation d = a + 2 h (1 - f) of the rough-plate model."""
-    if not a > 0.0:
-        raise ValueError("gap must be > 0")
-    return a + 2.0 * layer_thickness * (1.0 - fill_factor)
-
-
 def gap_from_average(d: float, layer_thickness: float, fill_factor: float) -> float:
     """Invert the average-separation mapping: a = d - 2 h (1 - f)."""
     offset = 2.0 * layer_thickness * (1.0 - fill_factor)

@@ -3,9 +3,9 @@
 The two-layer model's reduction factor is compared with measured (d, eta)
 pairs through the weighted residuals r = (eta_model - eta_obs) / sigma, and
 chi^2 = |r|^2 is minimized by projected Levenberg-Marquardt in
-x = (h / h_scale, f).  Every point tried lies in the parameter domain and
-inside the feasibility bound 2 h (1 - f) < min(d), so every gap
-a = d - 2 h (1 - f) is positive.  A second run from a fixed start escapes
+x = (h / h_scale, f), where h_scale = h_max / 10.  Every point tried lies in
+the parameter domain and inside the feasibility bound 2 h (1 - f) < min(d),
+so every gap a = d - 2 h (1 - f) is positive.  A second run from a fixed start escapes
 the basin near f -> 0, where the layer acts almost like vacuum; each run has
 its own evaluation budget.  Where the process may fork, may use two CPUs and
 runs one Python thread, that run goes to a forked child while the first runs
@@ -233,7 +233,6 @@ def fit_roughness(
     h_max: float = 100e-9,
     settings: EvaluationSettings | None = None,
     max_evaluations: int = 2000,
-    h_scale: float | None = None,
 ) -> FitResult:
     """Fit (h, f) to reduction-factor data by projected Levenberg-Marquardt.
 
@@ -242,10 +241,10 @@ def fit_roughness(
     finite-T ``settings`` has another temperature.  Every point tried is
     projected onto 0 <= h <= h_max, 1e-3 <= f <= 1 and
     2 h (1 - f) <= (1 - 1e-3) min(d): one margin, 1e-3, on both open edges.
-    The search runs in x = (h / h_scale, f); ``h_scale`` (default h_max / 10)
-    is the thickness unit of the difference step and of the fixed second
-    start (h_scale, 0.5), not a bound.  Runs from ``init`` and from the fixed
-    start (unless the two coincide) keep the lower chi^2.  A trial point the
+    The search runs in x = (h / h_scale, f), where h_scale = h_max / 10, at
+    least 1 nm, is the thickness unit of the difference step and of the fixed
+    second start (h_scale, 0.5), not a bound.  Runs from ``init`` and from the
+    fixed start (unless the two coincide) keep the lower chi^2.  A trial point the
     engine refuses with a typed error is rejected; such an error at ``init``
     propagates, and at the fixed start drops that run.  ``converged`` means
     the kept run passed a step and a gradient test set against eta's own
@@ -267,9 +266,7 @@ def fit_roughness(
         raise ValueError(f"h_max must be > 0 and finite, got {h_max}")
     if not (3 <= max_evaluations < math.inf and math.floor(max_evaluations) == max_evaluations):
         raise ValueError(f"max_evaluations must be an integer >= 3, got {max_evaluations}")
-    h_scale = max(h_max / 10.0, 1e-9) if h_scale is None else h_scale
-    if not 0.0 < h_scale < math.inf:
-        raise ValueError(f"h_scale must be > 0 and finite, got {h_scale}")
+    h_scale = max(h_max / 10.0, 1e-9)
     h0, f0 = init
     if not 0.0 <= h0 <= h_max:
         raise ValueError(f"initial h must lie in [0, h_max]: h0 = {float(h0)!r} m, "

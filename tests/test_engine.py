@@ -18,7 +18,6 @@ from lifshitz_plates import (
     SweepTable,
     Vacuum,
     as_layer_stack,
-    average_separation,
     build_rough_plate,
     eta_sweep,
     ev_to_angular_frequency,
@@ -29,7 +28,6 @@ from lifshitz_plates import (
     permittivity_imag_axis,
     pressure,
     pressure_zero_temperature,
-    reduction_factor,
 )
 from lifshitz_plates import engine
 from lifshitz_plates.stack import _fresnel_pair, _reflection
@@ -84,23 +82,14 @@ def test_ideal_pressure_values():
         ideal_pressure(0.0)
 
 
-def test_reduction_factor_trivials():
-    d = 0.8e-6
-    assert reduction_factor(ideal_pressure(d), d) == pytest.approx(1.0, rel=1e-15)
-    assert reduction_factor(0.0, d) == 0.0
-
-
 def test_separation_mappings():
     a = 300e-9
-    assert average_separation(a, 11e-9, 0.9) == pytest.approx(a + 2.2e-9, rel=1e-12)
-    assert average_separation(a, 11e-9, 1.0) == a
-    assert average_separation(a, 0.0, 0.5) == a
-    d = average_separation(a, 11e-9, 0.9)
+    assert gap_from_average(a, 11e-9, 1.0) == a
+    assert gap_from_average(a, 0.0, 0.5) == a
+    d = a + 2.0 * 11e-9 * (1.0 - 0.9)
     assert gap_from_average(d, 11e-9, 0.9) == pytest.approx(a, rel=1e-15)
     with pytest.raises(ValueError, match="exceed"):
         gap_from_average(2e-9, 11e-9, 0.5)
-    with pytest.raises(ValueError):
-        average_separation(0.0, 11e-9, 0.9)
 
 
 def test_ideal_metal_zero_temperature(perfect_stack):
@@ -143,6 +132,22 @@ def test_degenerate_two_layer_equals_drude(drude_stack, settings300):
     p_two = pressure(plate, a, settings300)
     p_drude = pressure(drude_stack, a, settings300)
     assert abs(p_two - p_drude) <= 1e-10 * p_drude
+
+
+@pytest.mark.parametrize("settings", [EvaluationSettings(temperature=300.0),
+                                      EvaluationSettings(zero_temperature=True)],
+                         ids=["300K", "t0"])
+@pytest.mark.parametrize("a", [50e-9, 300e-9, 2e-6])
+def test_fill_factor_edges_are_bracketed(drude_stack, plasma_stack, settings, a):
+    """At the edges of (0, 1] the 11 nm layer stays between its limits.  At
+    f = 1 it is a plasma layer on Drude bulk, so its plate pulls harder than
+    Drude's and less than plasma's.  At f = 1e-6 it is nearly vacuum, so the
+    plate pulls less than Drude's at the gap a and more than Drude's at a + 2h."""
+    h = 11e-9
+    full = pressure(build_rough_plate(GOLD_WP, GOLD_GAMMA, h, 1.0), a, settings)
+    assert pressure(drude_stack, a, settings) < full < pressure(plasma_stack, a, settings)
+    empty = pressure(build_rough_plate(GOLD_WP, GOLD_GAMMA, h, 1e-6), a, settings)
+    assert pressure(drude_stack, a + 2.0 * h, settings) < empty < pressure(drude_stack, a, settings)
 
 
 def test_low_temperature_limit_matches_zero_temperature(drude_stack):

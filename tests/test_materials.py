@@ -19,7 +19,6 @@ from lifshitz_plates import (
     build_rough_plate,
     permittivity_imag_axis,
     static_limit,
-    surface_plasma_frequency,
 )
 from lifshitz_plates.stack import _reflection
 
@@ -139,19 +138,24 @@ def test_drude_approaches_plasma_for_vanishing_relaxation():
     assert gap < 1.01e-5
 
 
+def _surface_plasma_frequency(fill):
+    return RoughPlateSpec(BulkMetal(GOLD_WP, GOLD_GAMMA), 11e-9, fill).surface.plasma_frequency
+
+
 def test_surface_plasma_frequency_values():
     # sqrt(0.9) * 8.9 eV = 8.44328 eV worth of angular frequency
-    assert surface_plasma_frequency(GOLD_WP, 0.9) == pytest.approx(
-        math.sqrt(0.9) * GOLD_WP, rel=1e-15
-    )
-    assert surface_plasma_frequency(GOLD_WP, 1.0) == GOLD_WP
-    assert surface_plasma_frequency(GOLD_WP, 0.25) == pytest.approx(GOLD_WP / 2.0, rel=1e-15)
+    assert _surface_plasma_frequency(0.9) == pytest.approx(math.sqrt(0.9) * GOLD_WP, rel=1e-15)
+    assert _surface_plasma_frequency(1.0) == GOLD_WP
+    assert _surface_plasma_frequency(0.25) == pytest.approx(GOLD_WP / 2.0, rel=1e-15)
 
 
 @pytest.mark.parametrize("fill", [0.0, -0.2, 1.2])
 def test_surface_plasma_frequency_domain(fill):
-    with pytest.raises(ValueError):
-        surface_plasma_frequency(GOLD_WP, fill)
+    """A fill factor outside (0, 1] is refused; a bad h is named before it."""
+    with pytest.raises(ValueError, match=r"^fill factor must lie in \(0, 1\]$"):
+        _surface_plasma_frequency(fill)
+    with pytest.raises(ValueError, match="^layer thickness must be >= 0"):
+        RoughPlateSpec(BulkMetal(GOLD_WP, GOLD_GAMMA), -1e-9, fill)
 
 
 def test_build_rough_plate_fill_relation():
@@ -200,7 +204,7 @@ def test_rough_plate_spec_builds_its_models_from_the_material():
     assert plate == build_rough_plate(GOLD_WP, GOLD_GAMMA, 11e-9, 0.9, interband)
     thinner = dataclasses.replace(plate, fill_factor=0.5)
     assert thinner == build_rough_plate(GOLD_WP, GOLD_GAMMA, 11e-9, 0.5, interband)
-    assert thinner.surface == Composite((Plasma(surface_plasma_frequency(GOLD_WP, 0.5)),
+    assert thinner.surface == Composite((Plasma(math.sqrt(0.5) * GOLD_WP),
                                          Composite([Oscillator(*interband[0])])))
 
 
