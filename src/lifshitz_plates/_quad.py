@@ -74,12 +74,15 @@ class PanelRule:
     decay: np.ndarray
 
     @classmethod
-    def from_edges(cls, edges: np.ndarray) -> "PanelRule":
+    def from_edges(cls, edges: np.ndarray, gauss_only: bool = False) -> "PanelRule":
+        """The Kronrod rule on ``edges``, or with ``gauss_only`` its embedded
+        7-point Gauss rule alone, whose estimate column is 0."""
         half = 0.5 * np.diff(edges)
         center = 0.5 * (edges[:-1] + edges[1:])
-        nodes = (center[:, None] + half[:, None] * _NODES[None, :]).ravel()
-        weights = (half[:, None] * _KRONROD_W[None, :]).ravel()
-        gauss = (half[:, None] * _GAUSS_W[None, :]).ravel()
+        keep = slice(1, None, 2) if gauss_only else slice(None)
+        nodes = (center[:, None] + half[:, None] * _NODES[None, keep]).ravel()
+        gauss = (half[:, None] * _GAUSS_W[None, keep]).ravel()
+        weights = gauss if gauss_only else (half[:, None] * _KRONROD_W[None, :]).ravel()
         return cls(edges=edges, nodes=nodes, weights=np.column_stack([weights, weights - gauss]),
                    decay=np.exp(-nodes))
 

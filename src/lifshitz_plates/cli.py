@@ -32,6 +32,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -249,7 +250,9 @@ def cmd_fit(args) -> int:
     report["h_nm"] = result.h * 1e9
     report["settings"] = {"temperature_K" if key == "temperature" else key: value
                           for key, value in dataclasses.asdict(settings).items()}
-    sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    for key in ("covariance", "h_f_covariance_proxy"):  # JSON has no NaN or Infinity
+        report[key] = [[v if math.isfinite(v) else None for v in row] for row in report[key]]
+    sys.stdout.write(json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
     d, eta_obs, sigma = np.array([(m.d, m.eta, m.sigma) for m in data]).T
     residual = sigma * result.residuals

@@ -16,12 +16,12 @@ decay rate, then blocks a quarter as long; terms beyond u = 16 start coarser.
 All gaps of a sweep are summed together in waves: one wave integrates the
 current block of every unfinished gap, the xi = 0 rows of all gaps in one
 call, and then runs each gap's stopping rule.  A wave is one _wave_terms
-call, the only code that turns (gap, xi) rows into kernel calls:
-_pol_integrals (xi > 0) or _pol_integrals_zero (xi = 0), both feeding
-_panel_sums.  At T = 0 the frequency sum becomes an integral, which _t0_sums
-evaluates on one tensor rule in u and t = 2 a xi / (c u).  An independent
-integration route in the raw k variable (scipy QUADPACK) runs through the
-same waves as an internal cross-check.
+call; _integrate, the only code that turns (gap, xi) rows into kernel calls
+(_pol_integrals at xi > 0, _pol_integrals_zero at xi = 0, both feeding
+_panel_sums), serves it and the planned evaluation of fits.  At T = 0 the
+frequency sum becomes an integral, which _t0_sums evaluates on one tensor
+rule in u and t = 2 a xi / (c u).  An independent integration route in the
+raw k variable (scipy QUADPACK) runs through the same waves as a cross-check.
 
 Sign convention: the returned pressure is the positive magnitude of the
 attraction, so the reduction factor P / P_id matches the usual plots.
@@ -30,6 +30,7 @@ attraction, so the reduction factor P / P_id matches the usual plots.
 from __future__ import annotations
 
 import ctypes
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence, Union
@@ -235,6 +236,27 @@ def _pol_integrals_zero(stack: LayerStack, a, rule: PanelRule):
     return _panel_sums(rule.nodes * rule.nodes, 0.0, rule, _static_reflection(stack, U, a))
 
 
+@functools.lru_cache(maxsize=None)
+def _rule(level: int, gauss_only: bool = False) -> PanelRule:
+    """``COARSE_RULE`` at level -1, else ``DEFAULT_RULE`` refined ``level`` times;
+    with ``gauss_only``, its embedded Gauss rule.  Levels stop at _MAX_REFINEMENTS."""
+    if gauss_only:
+        return PanelRule.from_edges(_rule(level).edges, gauss_only=True)
+    return (COARSE_RULE, DEFAULT_RULE)[level + 1] if level < 1 else _rule(level - 1).refined()
+
+
+def _integrate(stack, rows_a, xi, groups, values):
+    """Fill ``values[:, j]`` with (I_te, I_tm, err) of rows j at gaps ``rows_a[j]``
+    and ``xi[j]``, by groups (rows, rule) all at xi = 0 or all at xi > 0: a kernel
+    call takes ``_BLOCK`` rows or as many as hold ``_BLOCK`` default-rule rows' nodes."""
+    for i, rule in groups:
+        step = max(_BLOCK, _BLOCK * len(DEFAULT_RULE.nodes) // len(rule.nodes))
+        for start in range(0, len(i), step):
+            j = i[start:start + step]
+            values[:, j] = (_pol_integrals(stack, rows_a[j], xi[j], rule) if xi[j[0]]
+                            else _pol_integrals_zero(stack, rows_a[j], rule))
+
+
 def _wave_terms(stack, a, blocks, temperature, quad_rel_tol, hints):
     """Pressure-sum integrands [te, tm] of one block of Matsubara indices per gap.
 
@@ -248,7 +270,9 @@ def _wave_terms(stack, a, blocks, temperature, quad_rel_tol, hints):
     others, first at xi = 0, then at xi > 0, ascending, ``_BLOCK`` rows a
     kernel call or as many as hold their nodes (112 of the 60-node coarse
     rule).  Returns per block its [te, tm] array, or the
-    ``QuadratureBudgetError`` of a block still above its target.
+    ``QuadratureBudgetError`` of a block still above its target; and per block
+    the level of the rule each row was accepted on: -1 for ``COARSE_RULE``, k
+    for ``DEFAULT_RULE`` refined k times.
     """
     sizes = [len(b) for b in blocks]
     edges = np.cumsum([0] + sizes)
@@ -259,26 +283,18 @@ def _wave_terms(stack, a, blocks, temperature, quad_rel_tol, hints):
     kind = 2 * ~((2.0 * rows_a / CONSTANTS.c) * xi > _COARSE_FROM) + (xi != 0.0)
     values = np.empty((3, len(xi)))
     rows = np.arange(len(xi))
-    rules = (COARSE_RULE, DEFAULT_RULE)
-    for _ in range(_MAX_REFINEMENTS + 1):
-        for k in range(4):
-            i = rows[kind[rows] == k]
-            if not len(i):
-                continue
-            level_rule = rules[k // 2]
-            step = max(_BLOCK, _BLOCK * len(DEFAULT_RULE.nodes) // len(level_rule.nodes))
-            for start in range(0, len(i), step):
-                j = i[start:start + step]
-                values[:, j] = (_pol_integrals(stack, rows_a[j], xi[j], level_rule) if k % 2
-                                else _pol_integrals_zero(stack, rows_a[j], level_rule))
+    refined = np.zeros(len(blocks), dtype=int)
+    for level in range(_MAX_REFINEMENTS + 1):
+        _integrate(stack, rows_a, xi, [(rows[kind[rows] == k], _rule(level - (k == 1)))
+                                       for k in (1, 2, 3)], values)
         te, tm, estimate = np.add.reduceat(values, edges[:-1], axis=1)
         scale = np.maximum(np.abs(hints), np.abs(te + tm))
         target = 0.25 * quad_rel_tol * scale
         missed = ~(estimate <= target) & (scale != 0.0)
         if not missed.any():
             break
+        refined += missed
         rows = np.flatnonzero(np.repeat(missed, sizes))
-        rules = (rules[1], rules[1].refined())
     out = np.split(values[:2], edges[1:-1], axis=1)
     for i in np.flatnonzero(missed):
         ends = blocks[i][[0, -1]]
@@ -286,13 +302,13 @@ def _wave_terms(stack, a, blocks, temperature, quad_rel_tol, hints):
         out[i] = QuadratureBudgetError(
             float(a[i]), f"Matsubara block l = {ends[0]}..{ends[1]} "
             f"(xi = {xi_lo:.6e}..{xi_hi:.6e} rad/s)", float(estimate[i]), float(target[i]))
-    return out
+    return out, np.split(np.repeat(refined, sizes) - (kind == 1), edges[1:-1])
 
 
 def _block_terms_scaled(stack, a, ls, temperature, quad_rel_tol, scale_hint):
     """[te, tm] for Matsubara indices ``ls`` at one gap: a one-block wave."""
-    (terms,) = _wave_terms(stack, np.array([a], dtype=float), [np.asarray(ls)], temperature,
-                           quad_rel_tol, [scale_hint])
+    (terms,), _ = _wave_terms(stack, np.array([a], dtype=float), [np.asarray(ls)], temperature,
+                              quad_rel_tol, [scale_hint])
     if isinstance(terms, QuadratureBudgetError):
         raise terms
     return terms
@@ -327,8 +343,9 @@ def _kperp_term(stack, a, l, temperature, quad_rel_tol):
 
 
 def _finite_t_pressures(stack, a: np.ndarray, settings: EvaluationSettings,
-                        integration_variable: str = "u") -> np.ndarray:
-    """Pressures at the ascending gaps ``a``, every primed Matsubara sum run in the same waves.
+                        integration_variable: str = "u"):
+    """Pressures at the ascending gaps ``a``, every primed Matsubara sum run in the
+    same waves, and their plan: per gap, the rule level of each row l = 0..L it summed.
 
     Gap i starts with a block of min(l_max + 1, ceil(_DECAY_SAFETY
     ln(1/sum_rel_tol) / x_1) + 2 consecutive_small_terms + 2) terms, with
@@ -345,9 +362,10 @@ def _finite_t_pressures(stack, a: np.ndarray, settings: EvaluationSettings,
             return _wave_terms(stack, a[gaps], blocks, temperature, tol, hints)
     else:
         def wave(gaps, blocks, hints):
-            # one QUADPACK integral per row and polarization
-            return [np.hstack([_kperp_term(stack, float(a[i]), int(l), temperature, tol)
-                               for l in ls]) for i, ls in zip(gaps, blocks)]
+            # one QUADPACK integral per row and polarization; no rule levels
+            return ([np.hstack([_kperp_term(stack, float(a[i]), int(l), temperature, tol)
+                                for l in ls]) for i, ls in zip(gaps, blocks)],
+                    [np.zeros(len(ls), dtype=int) for ls in blocks])
 
     l_max, need = settings.l_max, settings.consecutive_small_terms
     x1 = (2.0 * matsubara_frequency(1, temperature) / CONSTANTS.c) * a
@@ -356,12 +374,14 @@ def _finite_t_pressures(stack, a: np.ndarray, settings: EvaluationSettings,
     start = [0] * len(a)
     total = [0.0] * len(a)
     streak = [0] * len(a)
+    plan = [[] for _ in a]
     failures = {}
     active = list(range(len(a)))
     while active:
         blocks = [np.arange(start[i], min(start[i] + size[i], l_max + 1)) for i in active]
         unfinished = []
-        for i, ls, terms in zip(active, blocks, wave(active, blocks, [total[i] for i in active])):
+        for i, ls, terms, levels in zip(active, blocks,
+                                        *wave(active, blocks, [total[i] for i in active])):
             if isinstance(terms, Exception):
                 failures[i] = terms
                 continue
@@ -374,6 +394,7 @@ def _finite_t_pressures(stack, a: np.ndarray, settings: EvaluationSettings,
                 streak[i] = streak[i] + 1 if small else 0
                 if streak[i] >= need:
                     break
+            plan[i].append(levels[:li + 1 - start[i]])
             if streak[i] >= need:
                 continue
             if ls[-1] >= l_max:
@@ -386,7 +407,23 @@ def _finite_t_pressures(stack, a: np.ndarray, settings: EvaluationSettings,
         active = [i for i in unfinished if i < min(failures, default=len(a))]
     if failures:
         raise failures[min(failures)]
-    return np.array([_pressure_prefactor(float(ai), temperature) * t for ai, t in zip(a, total)])
+    return (np.array([_pressure_prefactor(float(ai), temperature) * t for ai, t in zip(a, total)]),
+            [np.concatenate(levels) for levels in plan])
+
+
+def _planned_pressures(stack, a: np.ndarray, temperature: float, plan) -> np.ndarray:
+    """Pressures at the gaps ``a`` on the plan of :func:`_finite_t_pressures`:
+    each gap sums its planned rows, each on the embedded Gauss rule of its
+    level, with no stopping rule, no refinement test and no engine error."""
+    sizes, levels = [len(p) for p in plan], np.concatenate(plan)
+    ls = np.concatenate([np.arange(n) for n in sizes])
+    groups = [(np.flatnonzero((levels == k) & ((ls == 0) == zero)), _rule(k, gauss_only=True))
+              for k in sorted(set(levels.tolist())) for zero in (True, False)]
+    values = np.empty((3, len(ls)))
+    _integrate(stack, np.repeat(a, sizes), matsubara_frequency(ls, temperature), groups, values)
+    weighted = (values[0] + values[1]) * np.where(ls == 0, 0.5, 1.0)  # the primed sum
+    totals = np.add.reduceat(weighted, np.cumsum([0] + sizes[:-1]))
+    return np.array([_pressure_prefactor(float(ai), temperature) * t for ai, t in zip(a, totals)])
 
 
 def _check_gap(a: float) -> None:
@@ -420,8 +457,8 @@ def pressure(
         if integration_variable == "kperp":
             raise ValueError("integration_variable 'kperp' has no zero-temperature route")
         return pressure_zero_temperature(plate, a, settings)
-    pressures = _finite_t_pressures(as_layer_stack(plate), np.array([a], dtype=float), settings,
-                                    integration_variable)
+    pressures, _ = _finite_t_pressures(as_layer_stack(plate), np.array([a], dtype=float),
+                                       settings, integration_variable)
     return float(pressures[0])
 
 
@@ -488,14 +525,22 @@ def pressure_zero_temperature(
     """
     settings = settings or EvaluationSettings()
     _check_gap(a)
-    stack = as_layer_stack(plate)
-    tol = settings.quad_rel_tol
+    return _t0_pressure(as_layer_stack(plate), a, settings.quad_rel_tol)[0]
+
+
+def _t0_pressure(stack: LayerStack, a: float, tol: float, rules=None):
+    """:func:`pressure_zero_temperature` at ``a`` and its plan, the accepted (u, t)
+    rules; given those ``rules``, one pass of their Gauss rules, with no test."""
+    prefactor = CONSTANTS.hbar * CONSTANTS.c / (32.0 * math.pi**2 * a**4)
+    if rules is not None:
+        gauss = [PanelRule.from_edges(rule.edges, gauss_only=True) for rule in rules]
+        return prefactor * float(_t0_sums(stack, a, *gauss)[0, 0]), rules
     rules = [_T0_U_RULE, _T0_T_RULE]
     for _ in range(_MAX_REFINEMENTS + 1):
         (val, err_t), (err_u, _) = _t0_sums(stack, a, *rules).tolist()
         parts = [abs(err_u), abs(err_t)]
         if sum(parts) <= tol * abs(val) or val == 0.0:
-            return CONSTANTS.hbar * CONSTANTS.c / (32.0 * math.pi**2 * a**4) * val
+            return prefactor * val, rules
         axis = int(parts[1] > parts[0])
         rules[axis] = rules[axis].refined()
     raise QuadratureBudgetError(a, "T = 0 integral, larger estimate on the "
@@ -517,11 +562,20 @@ def eta_sweep(
     the kernel calls of :func:`_wave_terms`, with the xi = 0 rows of all
     gaps together.  Each row equals :func:`pressure` at its gap up to the
     last-bit rounding of the batched products.  When several gaps fail, the error of
-    the smallest d is raised.  A non-finite or repeated d raises
-    ``ValueError`` before any pressure is computed.
+    the smallest d is raised.  ``d_values`` other than 1-D, or a non-finite
+    or repeated d, raise ``ValueError`` before any pressure is computed.
     """
+    return _sweep(plate, d_values, settings)[0]
+
+
+def _sweep(plate: Plate, d_values, settings: EvaluationSettings | None, plan=None):
+    """:func:`eta_sweep` and its plan; given that ``plan``, the planned
+    evaluation on it, whose pressures depend smoothly on the plate."""
     settings = settings or EvaluationSettings()
-    d_sorted = np.sort(np.asarray(d_values, dtype=float))
+    d_given = np.asarray(d_values, dtype=float)
+    if d_given.ndim != 1:
+        raise ValueError(f"separations must be a 1-D sequence, got shape {d_given.shape}")
+    d_sorted = np.sort(d_given)
     bad = d_sorted[~np.isfinite(d_sorted)]
     if len(bad):
         raise ValueError(f"separations must be finite, got d = {bad[0]}")
@@ -538,9 +592,13 @@ def eta_sweep(
         pid_col[i] = ideal_pressure(d)
     stack = as_layer_stack(plate)
     if settings.zero_temperature:
-        p_col = np.array([pressure_zero_temperature(stack, a, settings) for a in a_col])
+        points = [_t0_pressure(stack, a, settings.quad_rel_tol, rules)
+                  for a, rules in zip(a_col, plan or [None] * len(a_col))]
+        p_col, plan = np.array([p for p, _ in points]), [rules for _, rules in points]
+    elif plan is None:
+        p_col, plan = _finite_t_pressures(stack, a_col, settings)
     else:
-        p_col = _finite_t_pressures(stack, a_col, settings)
+        p_col = _planned_pressures(stack, a_col, settings.temperature, plan)
     eta_col = p_col / pid_col
     return SweepTable(d=d_sorted, a=a_col, pressure=p_col,
-                      pressure_ideal=pid_col, eta=eta_col)
+                      pressure_ideal=pid_col, eta=eta_col), plan

@@ -5,7 +5,9 @@ pairs through the weighted residuals r = (eta_model - eta_obs) / sigma, and
 chi^2 = |r|^2 is minimized by projected Levenberg-Marquardt in
 x = (h / h_scale, f), where h_scale = h_max / 10.  Every point tried lies in
 the parameter domain and inside the feasibility bound 2 h (1 - f) < min(d),
-so every gap a = d - 2 h (1 - f) is positive.  A second run from a fixed start escapes
+so every gap a = d - 2 h (1 - f) is positive.  Each Jacobian differences the
+engine's planned evaluation on the plan of the point's full sweep, a smooth
+function of (h, f).  A second run from a fixed start escapes
 the basin near f -> 0, where the layer acts almost like vacuum; each run has
 its own evaluation budget.  Where the process may fork, may use two CPUs and
 runs one Python thread, that run goes to a forked child while the first runs
@@ -29,7 +31,7 @@ from typing import Sequence, TextIO, Union
 
 import numpy as np
 
-from .engine import EvaluationSettings, MatsubaraTruncationError, QuadratureBudgetError, eta_sweep
+from .engine import EvaluationSettings, MatsubaraTruncationError, QuadratureBudgetError, _sweep
 from .materials import BulkMetal, RoughPlateSpec
 
 # Relative distance kept from the domain's open edges: f >= _MARGIN and
@@ -62,7 +64,7 @@ class FitResult:
     """Fitted rough-layer parameters and bookkeeping.
 
     Both matrices are in (h [m], f) and come from the last forward-difference
-    Jacobian J of the kept run, at no extra evaluations.
+    Jacobian J of the kept run, on its last point's plan, at no extra evaluations.
     ``h_f_covariance_proxy`` is 2 J^T J, the Gauss-Newton curvature of chi^2.
     ``covariance`` is s^2 (J^T J)^-1 with s^2 = chi^2 / (N - 2); its entries
     are non-finite when J^T J is singular (as at h = 0) or N <= 2.
@@ -107,7 +109,8 @@ def load_measurements(source: Union[str, Path, TextIO]) -> list[Measurement]:
     """Parse measurements from CSV text with columns d_um|d_nm, eta[, sigma].
 
     ``source`` may be a path, an open text stream, or the literal CSV content
-    (any string containing a newline).  Rows are returned ascending in d;
+    (any string containing a newline); one leading byte-order mark, as in
+    Excel's "CSV UTF-8", is dropped.  Rows are returned ascending in d;
     duplicate separations are rejected.  d is shifted to metres in decimal, so
     it is the float nearest the cell's value and a dumped d loads back exactly.
     """
@@ -117,6 +120,7 @@ def load_measurements(source: Union[str, Path, TextIO]) -> list[Measurement]:
         text = source
     else:
         text = Path(source).read_text()
+    text = text.removeprefix("\ufeff")
 
     reader = csv.reader(io.StringIO(text))
     rows = [(lineno, row) for lineno, row in enumerate(reader, start=1)
@@ -201,14 +205,21 @@ def residuals(
     settings: EvaluationSettings | None = None,
 ) -> np.ndarray:
     """Weighted residuals (eta_model - eta_obs) / sigma, in the order of ``data``."""
+    return _evaluate(h, f, data, material, temperature, settings)[0]
+
+
+def _evaluate(h, f, data, material, temperature, settings, plan=None):
+    """(:func:`residuals`, the sweep's plan); given a ``plan``, the residuals
+    of the engine's planned evaluation on it instead, and that plan."""
     if not data:
         raise ValueError("no measurements")
     settings = _settings_at(temperature, settings)
     plate = RoughPlateSpec(material, h, f)
     d, eta_obs, sigma = np.array([(m.d, m.eta, m.sigma) for m in data]).T
     eta = np.empty_like(d)
-    eta[np.argsort(d)] = eta_sweep(plate, d, settings).eta  # rows come in ascending d
-    return (eta - eta_obs) / sigma
+    table, plan = _sweep(plate, d, settings, plan)
+    eta[np.argsort(d)] = table.eta  # rows come in ascending d
+    return (eta - eta_obs) / sigma, plan
 
 
 def objective(
@@ -249,8 +260,9 @@ def fit_roughness(
     propagates, and at the fixed start drops that run.  ``converged`` means
     the kept run passed a step and a gradient test set against eta's own
     noise, ``quad_rel_tol`` relative.  ``max_evaluations``, an integer >= 3,
-    caps each run's residual evaluations (``n_evaluations`` counts both runs);
-    a run that uses it up ends at its best point so far, unconverged.
+    caps each run's evaluations: its start, trials and Jacobian columns
+    (``n_evaluations`` counts both runs).  A run that uses it up ends at its
+    best point so far, unconverged.
 
     The fixed-start run goes to a child made by ``os.fork`` while the first
     run goes on here, unless fork or ``os.sched_getaffinity`` is missing, this
@@ -298,13 +310,13 @@ def fit_roughness(
         """LM from ``x``: (run, evaluations); run is None if it raised one of ``dropped``."""
         count = 0
 
-        def residual(y):
+        def evaluate(y, plan=None, counted=True):
             nonlocal count
-            count += 1
-            return residuals(y[0] * h_scale, y[1], data, material, temperature, settings)
+            count += counted
+            return _evaluate(y[0] * h_scale, y[1], data, material, temperature, settings, plan)
 
         try:
-            return _levenberg_marquardt(residual, x, project, noise, step,
+            return _levenberg_marquardt(evaluate, x, project, noise, step,
                                         lambda: max_evaluations - count), count
         except dropped:
             return None, count
@@ -389,22 +401,26 @@ def _forked(work):
         os.waitpid(pid, 0)
 
 
-def _jacobian(residual, x, r, project, step):
-    """Forward-difference Jacobian of ``residual`` at ``x`` in two evaluations;
-    a step that the projection would alter goes inward instead."""
-    jac = np.empty((len(r), 2))
+def _jacobian(evaluate, x, plan, project, step):
+    """Forward differences (F(x + step e_i) - F(x)) / step of the planned
+    evaluation F on ``plan``, the full evaluation's plan at ``x``: two counted
+    evaluations, and F(x), not counted.  F is smooth, so no column sees a jump in
+    truncation or rule levels.  A step the projection would alter goes inward."""
+    base, _ = evaluate(x, plan, counted=False)
+    jac = np.empty((len(base), 2))
     for i in range(2):
         dx = np.zeros(2)
         dx[i] = step
         if not np.array_equal(project(x + dx), x + dx):
             dx = -dx
-        jac[:, i] = (residual(x + dx) - r) / dx[i]
+        jac[:, i] = (evaluate(x + dx, plan)[0] - base) / dx[i]
     return jac
 
 
-def _levenberg_marquardt(residual, x, project, noise, step, budget):
+def _levenberg_marquardt(evaluate, x, project, noise, step, budget):
     """Projected Levenberg-Marquardt from the feasible ``x``; returns
-    (x, chi2, J, converged, r), with r the residuals at x.
+    (x, chi2, J, converged, r), with r the residuals at x.  ``evaluate(y)``
+    gives the residuals at y and their plan, on which :func:`_jacobian` forms J.
 
     Errors at ``x`` propagate; a trial whose residual or Jacobian raises an
     engine error is rejected.  A trial costs one evaluation, and an accepted
@@ -416,8 +432,8 @@ def _levenberg_marquardt(residual, x, project, noise, step, budget):
     the relative truncation error of the forward differences and noise / step
     their rounding error.
     """
-    r = residual(x)
-    jac = _jacobian(residual, x, r, project, step)
+    r, plan = evaluate(x)
+    jac = _jacobian(evaluate, x, plan, project, step)
     lam = _LAMBDA_START
     while lam <= _LAMBDA_MAX:
         chi2 = float(r @ r)
@@ -439,9 +455,9 @@ def _levenberg_marquardt(residual, x, project, noise, step, budget):
         if budget() < 3:
             break
         try:
-            r_trial = residual(trial)
+            r_trial, plan = evaluate(trial)
             if r_trial @ r_trial < chi2:
-                jac = _jacobian(residual, trial, r_trial, project, step)
+                jac = _jacobian(evaluate, trial, plan, project, step)
                 x, r = trial, r_trial
                 lam /= 10.0
                 continue

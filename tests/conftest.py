@@ -17,6 +17,7 @@ from lifshitz_plates import (
     ev_to_angular_frequency,
 )
 from lifshitz_plates import engine
+from lifshitz_plates import fit as fit_module
 
 # property tests replay the same examples on every run, with no timing limit
 hypothesis.settings.register_profile("derandomized", derandomize=True, deadline=None)
@@ -81,6 +82,35 @@ def kernel_calls(monkeypatch):
 
         monkeypatch.setattr(engine, name, recording)
     return calls
+
+
+class _Evaluations(list):
+    refuse = None
+
+
+@pytest.fixture
+def fit_evaluations(monkeypatch):
+    """Record, in order, the evaluations a fit makes through its engine entry
+    ``fit._sweep``: "sweep" for a full sweep, "column" for a planned
+    evaluation away from the point whose sweep made its plan.  The planned
+    reference at that point is not an evaluation and is not recorded.  A
+    ``refuse`` set on the record is called with it after each entry, and may
+    raise to refuse that evaluation."""
+    record, made_at, sweep = _Evaluations(), {}, fit_module._sweep
+
+    def recording(plate, d_values, settings, plan=None):
+        point = (plate.layer_thickness, plate.fill_factor)
+        if plan is None or made_at[id(plan)][1] != point:
+            record.append("sweep" if plan is None else "column")
+            if record.refuse:
+                record.refuse(record)
+        table, made = sweep(plate, d_values, settings, plan)
+        if plan is None:
+            made_at[id(made)] = (made, point)
+        return table, made
+
+    monkeypatch.setattr(fit_module, "_sweep", recording)
+    return record
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,6 @@
 import errno
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,6 +13,7 @@ from lifshitz_plates import (
     Drude,
     EvaluationSettings,
     LayerStack,
+    Measurement,
     Oscillator,
     Plasma,
     build_rough_plate,
@@ -22,7 +24,6 @@ from lifshitz_plates import (
     ev_to_angular_frequency,
 )
 from lifshitz_plates import cli
-from lifshitz_plates import fit as fit_module
 from lifshitz_plates.cli import main
 
 from conftest import GOLD_GAMMA, GOLD_WP
@@ -171,6 +172,34 @@ def test_compare_needs_two_models(capsys):
     assert "two" in err
 
 
+def _strict_json(text):
+    """json.loads that refuses the NaN and Infinity tokens, which JSON lacks."""
+    def refuse(token):
+        raise ValueError(f"not JSON: {token}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("points, argv", [(2, []), (3, ["--h-nm", "0"])],
+                         ids=["two-points", "zero-thickness"])
+def test_fit_report_writes_null_for_a_non_finite_covariance(capsys, tmp_path, synthesize, points,
+                                                            argv):
+    """With N <= 2, or at h = 0 where J^T J is singular, the covariance is not
+    finite; the report says null there, where it wrote bare NaN or Infinity.
+    The data lie 1 % below the smooth plate's, so the fit from h = 0 stays
+    there with chi^2 > 0."""
+    data_path = tmp_path / "meas.csv"
+    data = synthesize(0.0, 0.9, np.linspace(200e-9, 700e-9, points))
+    dump_measurements([Measurement(m.d, 0.99 * m.eta) for m in data], data_path)
+    code, out, _ = run_cli(capsys, "fit", "--data", str(data_path), *argv,
+                           "--out", str(tmp_path / "residuals.csv"))
+    assert code == 0
+    report = _strict_json(out)
+    assert report["h_m"] == 0.0 and report["chi2"] > 0.0
+    assert None in sum(report["covariance"], [])
+    assert all(v is None or math.isfinite(v) for v in sum(report["covariance"], []))
+
+
 def test_fit_recovers_synthetic_parameters(capsys, tmp_path, synthesize):
     data = synthesize(11e-9, 0.9, np.linspace(200e-9, 700e-9, 6))
     data_path = tmp_path / "meas.csv"
@@ -210,19 +239,20 @@ def test_fit_zero_temperature_switch(capsys, tmp_path, synthesize):
     assert report["f"] == pytest.approx(0.9, abs=0.05)
 
 
-def test_fit_sweeps_only_for_its_evaluations(capsys, tmp_path, synthesize, monkeypatch):
+def test_fit_sweeps_only_for_its_evaluations(capsys, tmp_path, synthesize, monkeypatch,
+                                             fit_evaluations):
     """The residual table comes from the fit's own residuals at (h, f): the
-    command makes no sweep beyond the fit's evaluations."""
+    command makes no sweep beyond the fit's evaluations, its full sweeps and
+    its planned Jacobian columns."""
     data_path = tmp_path / "meas.csv"
     dump_measurements(synthesize(11e-9, 0.9, np.linspace(200e-9, 700e-9, 6), noise=0.002,
                                  seed=5, weighted=True), data_path)
-    calls = []
+    calls = fit_evaluations
 
     def counting(*args):
         calls.append(args)
         return eta_sweep(*args)
 
-    monkeypatch.setattr(fit_module, "eta_sweep", counting)
     monkeypatch.setattr(cli, "eta_sweep", counting)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)  # no child
     code, out, _ = run_cli(capsys, "fit", "--data", str(data_path),

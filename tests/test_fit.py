@@ -59,6 +59,20 @@ def test_load_from_an_open_stream():
     assert data == [Measurement(200e-9, 0.4), Measurement(300e-9, 0.5)]
 
 
+def test_load_drops_a_leading_byte_order_mark(tmp_path):
+    """Excel's "CSV UTF-8" export starts with U+FEFF, which made the header
+    read '\ufeffd_um'; every source form drops one leading mark."""
+    text = "d_um,eta,sigma\n0.3,0.5,0.01\n0.2,0.4,0.02\n"
+    path = tmp_path / "excel.csv"
+    path.write_bytes(("\ufeff" + text).encode("utf-8"))
+    expected = load_measurements(text)
+    with open(path, encoding="utf-8") as stream:
+        from_stream = load_measurements(stream)
+    for data in (load_measurements("\ufeff" + text), load_measurements(path),
+                 load_measurements(str(path)), from_stream):
+        assert data == expected
+
+
 def test_load_sigma_column():
     data = load_measurements("d_um,eta,sigma\n0.3,0.6,0.01\n")
     assert data[0].sigma == 0.01
@@ -295,7 +309,7 @@ def test_fit_refuses_non_finite_or_negative_scales(synthesize, gold, monkeypatch
     def fail(*args, **kwargs):
         raise AssertionError("residuals evaluated")
 
-    monkeypatch.setattr(fit_module, "residuals", fail)
+    monkeypatch.setattr(fit_module, "_evaluate", fail)
     with pytest.raises(ValueError, match=f"^{name} must be > 0 and finite, got {value}$"):
         fit_roughness(data, (5e-9, 0.8), gold, 300.0, **{name: value})
 
@@ -309,7 +323,7 @@ def test_fit_refuses_a_bad_evaluation_budget(synthesize, gold, monkeypatch, valu
     def fail(*args, **kwargs):
         raise AssertionError("residuals evaluated")
 
-    monkeypatch.setattr(fit_module, "residuals", fail)
+    monkeypatch.setattr(fit_module, "_evaluate", fail)
     with pytest.raises(ValueError, match=f"^max_evaluations must be an integer >= 3, got {value}$"):
         fit_roughness(data, (5e-9, 0.8), gold, 300.0, max_evaluations=value)
 
@@ -319,7 +333,7 @@ def test_fit_rejects_infeasible_start(synthesize, gold, monkeypatch):
     the smallest separation is refused before any residual evaluation."""
     data = synthesize(11e-9, 0.9, np.linspace(162e-9, 746e-9, 4))
     calls = []
-    monkeypatch.setattr(fit_module, "residuals", lambda *args: calls.append(args))
+    monkeypatch.setattr(fit_module, "_evaluate", lambda *args: calls.append(args))
     with pytest.raises(ValueError, match=r"h0 = 1\.000000e-07 m, f0 = 0\.05.*"
                                          r"1\.900000e-07 m.*min\(d\) = 1\.620000e-07 m"):
         fit_roughness(data, (100e-9, 0.05), gold, 300.0)
@@ -358,7 +372,7 @@ def test_temperature_conflicting_with_settings_is_refused(synthesize, gold, monk
     assert objective(11e-9, 0.9, data, gold, 4.0, zero_t) == objective(
         11e-9, 0.9, data, gold, 300.0, zero_t)
     calls = []
-    monkeypatch.setattr(fit_module, "residuals", lambda *args: calls.append(args))
+    monkeypatch.setattr(fit_module, "_evaluate", lambda *args: calls.append(args))
     with pytest.raises(ValueError, match=message):
         fit_roughness(data, (5e-9, 0.8), gold, 4.0, settings=EvaluationSettings())
     assert calls == []
@@ -430,15 +444,15 @@ def test_forked_fit_raises_or_drops_as_in_process(acceptance_data, gold, monkeyp
     """An error only at the fixed start (h_max / 10, 0.5), raised in the child,
     is raised here with its type, or for an engine error drops that run, as
     in process.  An error at the first start leaves no child behind."""
-    residuals, refused = fit_module.residuals, []
+    evaluate, refused = fit_module._evaluate, []
 
     def refusing(h, f, *args):
         if (h, f) == at:
             refused.append(os.getpid())
             raise error(f"refused at h = {h}, f = {f}")
-        return residuals(h, f, *args)
+        return evaluate(h, f, *args)
 
-    monkeypatch.setattr(fit_module, "residuals", refusing)
+    monkeypatch.setattr(fit_module, "_evaluate", refusing)
     outcomes = []
     for fit in (lambda: fit_roughness(acceptance_data, (5e-9, 0.8), gold, 300.0),
                 lambda: _in_process(monkeypatch, acceptance_data, (5e-9, 0.8), gold, 300.0)):
@@ -455,14 +469,14 @@ def test_forked_fit_raises_or_drops_as_in_process(acceptance_data, gold, monkeyp
 
 def _die_in_the_child(monkeypatch):
     """Make a forked fit's child exit, without its result, at its first evaluation."""
-    parent, residuals = os.getpid(), fit_module.residuals
+    parent, evaluate = os.getpid(), fit_module._evaluate
 
     def dying_in_the_child(h, f, *args):
         if os.getpid() != parent:
             os._exit(3)
-        return residuals(h, f, *args)
+        return evaluate(h, f, *args)
 
-    monkeypatch.setattr(fit_module, "residuals", dying_in_the_child)
+    monkeypatch.setattr(fit_module, "_evaluate", dying_in_the_child)
 
 
 @requires_fork
@@ -483,21 +497,22 @@ def test_fit_runs_in_process_when_fork_fails(acceptance_data, gold, monkeypatch)
                      _in_process(monkeypatch, acceptance_data, (5e-9, 0.8), gold, 300.0))
 
 
-def test_fit_rejects_a_trial_the_engine_refuses(acceptance_data, gold, monkeypatch):
+def test_fit_rejects_a_trial_the_engine_refuses(acceptance_data, gold, monkeypatch,
+                                                fit_evaluations):
     """A trial point whose sweep raises an engine error is rejected like a
     worse one: the damping grows and the fit still reaches its minimum, at
     the cost of the refused evaluation."""
     clean = _in_process(monkeypatch, acceptance_data, (5e-9, 0.8), gold, 300.0)
-    sweep, calls = fit_module.eta_sweep, []
+    calls = fit_evaluations
+    calls.clear()
 
-    def refusing_the_first_trial(*args):
-        calls.append(args)
-        if len(calls) == 4:  # after the start and its two Jacobian columns
+    def refusing_the_first_trial(calls):
+        if calls.count("sweep") == 2:  # the start's sweep, then the first trial's
             raise QuadratureBudgetError(1e-7, "first trial", 1.0, 0.5)
-        return sweep(*args)
 
-    monkeypatch.setattr(fit_module, "eta_sweep", refusing_the_first_trial)
+    calls.refuse = refusing_the_first_trial
     result = _in_process(monkeypatch, acceptance_data, (5e-9, 0.8), gold, 300.0)
+    assert calls[:4] == ["sweep", "column", "column", "sweep"]
     assert result.converged
     assert len(calls) == result.n_evaluations == clean.n_evaluations + 1
     assert result.h == pytest.approx(clean.h, rel=1e-11)
@@ -546,3 +561,23 @@ def test_forked_fits_leave_no_descriptor_open(acceptance_data, gold, monkeypatch
         fit_roughness(acceptance_data, (5e-9, 0.8), gold, 300.0)
     assert len(forks) == 6
     assert sorted(os.listdir("/proc/self/fd")) == before
+
+
+@pytest.mark.parametrize("start", [(5e-9, 0.8), (11e-9, 0.9)], ids=["start", "truth"])
+def test_planned_jacobian_matches_the_full_sweep_differences(acceptance_data, gold, start):
+    """The Jacobian from planned evaluations agrees with forward differences of
+    full sweeps, each column within 1e-6 of its norm."""
+    settings, h_scale, step = EvaluationSettings(), 1e-8, math.sqrt(1e-9)
+
+    def evaluate(y, plan=None, counted=True):
+        return fit_module._evaluate(y[0] * h_scale, y[1], acceptance_data, gold, 300.0,
+                                    settings, plan)
+
+    x = np.array([start[0] / h_scale, start[1]])
+    r, plan = evaluate(x)
+    jac = fit_module._jacobian(evaluate, x, plan, lambda y: y, step)
+    for i in range(2):
+        y = x.copy()
+        y[i] += step
+        column = (fit_module.residuals(y[0] * h_scale, y[1], acceptance_data, gold, 300.0) - r) / step
+        assert np.linalg.norm(jac[:, i] - column) <= 1e-6 * np.linalg.norm(column)
