@@ -11,6 +11,7 @@ operations.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,6 +91,11 @@ class PanelRule:
         """Rule with every panel split in half."""
         e = self.edges
         return PanelRule.from_edges(np.sort(np.concatenate([e, 0.5 * (e[:-1] + e[1:])])))
+
+    @functools.cached_property
+    def gauss(self) -> "PanelRule":
+        """The embedded 7-point Gauss rule alone on these edges, built once."""
+        return PanelRule.from_edges(self.edges, gauss_only=True)
 
 
 DEFAULT_RULE = PanelRule.from_edges(DEFAULT_EDGES)

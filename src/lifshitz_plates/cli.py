@@ -32,7 +32,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -250,8 +249,6 @@ def cmd_fit(args) -> int:
     report["h_nm"] = result.h * 1e9
     report["settings"] = {"temperature_K" if key == "temperature" else key: value
                           for key, value in dataclasses.asdict(settings).items()}
-    for key in ("covariance", "h_f_covariance_proxy"):  # JSON has no NaN or Infinity
-        report[key] = [[v if math.isfinite(v) else None for v in row] for row in report[key]]
     sys.stdout.write(json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
     d, eta_obs, sigma = np.array([(m.d, m.eta, m.sigma) for m in data]).T

@@ -16,10 +16,11 @@ decay rate, then blocks a quarter as long; terms beyond u = 16 start coarser.
 All gaps of a sweep are summed together in waves: one wave integrates the
 current block of every unfinished gap, the xi = 0 rows of all gaps in one
 call, and then runs each gap's stopping rule.  A wave is one _wave_terms
-call; _integrate, the only code that turns (gap, xi) rows into kernel calls
+call.  Each row carries its rule level, raised when its block is refined;
+_integrate, the only code that turns (gap, xi, level) rows into kernel calls
 (_pol_integrals at xi > 0, _pol_integrals_zero at xi = 0, both feeding
-_panel_sums), serves it and the planned evaluation of fits.  At T = 0 the
-frequency sum becomes an integral, which _t0_sums evaluates on one tensor
+_panel_sums), serves the waves and the planned evaluation of fits.  At T = 0
+the frequency sum becomes an integral, which _t0_sums evaluates on one tensor
 rule in u and t = 2 a xi / (c u).  An independent integration route in the
 raw k variable (scipy QUADPACK) runs through the same waves as a cross-check.
 
@@ -237,64 +238,58 @@ def _pol_integrals_zero(stack: LayerStack, a, rule: PanelRule):
 
 
 @functools.lru_cache(maxsize=None)
-def _rule(level: int, gauss_only: bool = False) -> PanelRule:
-    """``COARSE_RULE`` at level -1, else ``DEFAULT_RULE`` refined ``level`` times;
-    with ``gauss_only``, its embedded Gauss rule.  Levels stop at _MAX_REFINEMENTS."""
-    if gauss_only:
-        return PanelRule.from_edges(_rule(level).edges, gauss_only=True)
+def _rule(level: int) -> PanelRule:
+    """``COARSE_RULE`` at level -1, else ``DEFAULT_RULE`` refined ``level`` times."""
     return (COARSE_RULE, DEFAULT_RULE)[level + 1] if level < 1 else _rule(level - 1).refined()
 
 
-def _integrate(stack, rows_a, xi, groups, values):
-    """Fill ``values[:, j]`` with (I_te, I_tm, err) of rows j at gaps ``rows_a[j]``
-    and ``xi[j]``, by groups (rows, rule) all at xi = 0 or all at xi > 0: a kernel
-    call takes ``_BLOCK`` rows or as many as hold ``_BLOCK`` default-rule rows' nodes."""
-    for i, rule in groups:
+def _integrate(stack, rows_a, xi, levels, gauss_only=False):
+    """(I_te, I_tm, err) of rows j at gap ``rows_a[j]`` and ``xi[j]`` on the rule of
+    ``levels[j]``, or with ``gauss_only`` its embedded Gauss rule, as a (3, rows)
+    array.  Kernel calls go by level, ascending, xi = 0 rows before xi > 0 rows,
+    ``_BLOCK`` rows a call or as many as hold ``_BLOCK`` default-rule rows' nodes."""
+    values = np.empty((3, len(xi)))
+    for level, positive in sorted(set(zip(levels.tolist(), (xi > 0.0).tolist()))):
+        rule = _rule(level).gauss if gauss_only else _rule(level)
         step = max(_BLOCK, _BLOCK * len(DEFAULT_RULE.nodes) // len(rule.nodes))
+        i = np.flatnonzero((levels == level) & ((xi > 0.0) == positive))
         for start in range(0, len(i), step):
             j = i[start:start + step]
-            values[:, j] = (_pol_integrals(stack, rows_a[j], xi[j], rule) if xi[j[0]]
+            values[:, j] = (_pol_integrals(stack, rows_a[j], xi[j], rule) if positive
                             else _pol_integrals_zero(stack, rows_a[j], rule))
+    return values
 
 
 def _wave_terms(stack, a, blocks, temperature, quad_rel_tol, hints):
     """Pressure-sum integrands [te, tm] of one block of Matsubara indices per gap.
 
-    ``blocks[i]`` holds ascending indices for gap ``a[i]``.  The rows of all
-    blocks share kernel calls, on ``DEFAULT_RULE``, or ``COARSE_RULE`` beyond
-    u0 = 2 a xi / c = ``_COARSE_FROM``.  Block i is accepted when its summed
-    Kronrod-Gauss estimate is <= 0.25 ``quad_rel_tol`` max(|hints[i]|, |te +
-    tm over the block|); the rows of the blocks that miss it are integrated
-    again, each one level finer, at most ``_MAX_REFINEMENTS`` times.  A pass
-    integrates the coarse rows (all at xi > 0, as u0 = 0 at xi = 0), then the
-    others, first at xi = 0, then at xi > 0, ascending, ``_BLOCK`` rows a
-    kernel call or as many as hold their nodes (112 of the 60-node coarse
-    rule).  Returns per block its [te, tm] array, or the
+    ``blocks[i]`` holds ascending indices for gap ``a[i]``.  Each row has a rule
+    level (see :func:`_rule`): 0, or -1 beyond u0 = 2 a xi / c = ``_COARSE_FROM``.
+    A pass integrates its rows in the kernel calls of :func:`_integrate`.  Block
+    i is accepted when its summed Kronrod-Gauss estimate is <= 0.25
+    ``quad_rel_tol`` max(|hints[i]|, |te + tm over the block|); the rows of the
+    blocks that miss it go up one level for the next pass, at most
+    ``_MAX_REFINEMENTS`` times.  Returns per block its [te, tm] array, or the
     ``QuadratureBudgetError`` of a block still above its target; and per block
-    the level of the rule each row was accepted on: -1 for ``COARSE_RULE``, k
-    for ``DEFAULT_RULE`` refined k times.
+    its rows' levels, each that of the rule the row was accepted on.
     """
     sizes = [len(b) for b in blocks]
     edges = np.cumsum([0] + sizes)
     xi = matsubara_frequency(np.concatenate(blocks), temperature)
     rows_a = np.repeat(a, sizes)
-    # kernel call order: coarse xi > 0 (kind 1), xi = 0 (2), xi > 0 (3); no
-    # xi = 0 row is coarse, so kind 0 never occurs
-    kind = 2 * ~((2.0 * rows_a / CONSTANTS.c) * xi > _COARSE_FROM) + (xi != 0.0)
+    levels = np.where((2.0 * rows_a / CONSTANTS.c) * xi > _COARSE_FROM, -1, 0)
     values = np.empty((3, len(xi)))
     rows = np.arange(len(xi))
-    refined = np.zeros(len(blocks), dtype=int)
-    for level in range(_MAX_REFINEMENTS + 1):
-        _integrate(stack, rows_a, xi, [(rows[kind[rows] == k], _rule(level - (k == 1)))
-                                       for k in (1, 2, 3)], values)
+    for _ in range(_MAX_REFINEMENTS + 1):
+        values[:, rows] = _integrate(stack, rows_a[rows], xi[rows], levels[rows])
         te, tm, estimate = np.add.reduceat(values, edges[:-1], axis=1)
         scale = np.maximum(np.abs(hints), np.abs(te + tm))
         target = 0.25 * quad_rel_tol * scale
         missed = ~(estimate <= target) & (scale != 0.0)
         if not missed.any():
             break
-        refined += missed
         rows = np.flatnonzero(np.repeat(missed, sizes))
+        levels[rows] += 1
     out = np.split(values[:2], edges[1:-1], axis=1)
     for i in np.flatnonzero(missed):
         ends = blocks[i][[0, -1]]
@@ -302,7 +297,7 @@ def _wave_terms(stack, a, blocks, temperature, quad_rel_tol, hints):
         out[i] = QuadratureBudgetError(
             float(a[i]), f"Matsubara block l = {ends[0]}..{ends[1]} "
             f"(xi = {xi_lo:.6e}..{xi_hi:.6e} rad/s)", float(estimate[i]), float(target[i]))
-    return out, np.split(np.repeat(refined, sizes) - (kind == 1), edges[1:-1])
+    return out, np.split(levels, edges[1:-1])
 
 
 def _block_terms_scaled(stack, a, ls, temperature, quad_rel_tol, scale_hint):
@@ -417,10 +412,8 @@ def _planned_pressures(stack, a: np.ndarray, temperature: float, plan) -> np.nda
     level, with no stopping rule, no refinement test and no engine error."""
     sizes, levels = [len(p) for p in plan], np.concatenate(plan)
     ls = np.concatenate([np.arange(n) for n in sizes])
-    groups = [(np.flatnonzero((levels == k) & ((ls == 0) == zero)), _rule(k, gauss_only=True))
-              for k in sorted(set(levels.tolist())) for zero in (True, False)]
-    values = np.empty((3, len(ls)))
-    _integrate(stack, np.repeat(a, sizes), matsubara_frequency(ls, temperature), groups, values)
+    values = _integrate(stack, np.repeat(a, sizes), matsubara_frequency(ls, temperature), levels,
+                        gauss_only=True)
     weighted = (values[0] + values[1]) * np.where(ls == 0, 0.5, 1.0)  # the primed sum
     totals = np.add.reduceat(weighted, np.cumsum([0] + sizes[:-1]))
     return np.array([_pressure_prefactor(float(ai), temperature) * t for ai, t in zip(a, totals)])
@@ -533,8 +526,7 @@ def _t0_pressure(stack: LayerStack, a: float, tol: float, rules=None):
     rules; given those ``rules``, one pass of their Gauss rules, with no test."""
     prefactor = CONSTANTS.hbar * CONSTANTS.c / (32.0 * math.pi**2 * a**4)
     if rules is not None:
-        gauss = [PanelRule.from_edges(rule.edges, gauss_only=True) for rule in rules]
-        return prefactor * float(_t0_sums(stack, a, *gauss)[0, 0]), rules
+        return prefactor * float(_t0_sums(stack, a, *(rule.gauss for rule in rules))[0, 0]), rules
     rules = [_T0_U_RULE, _T0_T_RULE]
     for _ in range(_MAX_REFINEMENTS + 1):
         (val, err_t), (err_u, _) = _t0_sums(stack, a, *rules).tolist()

@@ -3,15 +3,16 @@
 The two-layer model's reduction factor is compared with measured (d, eta)
 pairs through the weighted residuals r = (eta_model - eta_obs) / sigma, and
 chi^2 = |r|^2 is minimized by projected Levenberg-Marquardt in
-x = (h / h_scale, f), where h_scale = h_max / 10.  Every point tried lies in
-the parameter domain and inside the feasibility bound 2 h (1 - f) < min(d),
-so every gap a = d - 2 h (1 - f) is positive.  Each Jacobian differences the
-engine's planned evaluation on the plan of the point's full sweep, a smooth
-function of (h, f).  A second run from a fixed start escapes
-the basin near f -> 0, where the layer acts almost like vacuum; each run has
-its own evaluation budget.  Where the process may fork, may use two CPUs and
-runs one Python thread, that run goes to a forked child while the first runs
-here; the result is bit-identical to running both here, one after the other.
+x = (h / h_scale, f), where h_scale = max(h_max / 10, 1 nm).  Every point
+tried lies in the parameter domain and inside the feasibility bound
+2 h (1 - f) < min(d), so every gap a = d - 2 h (1 - f) is positive.  Each
+Jacobian differences the engine's planned evaluation on the plan of the
+point's full sweep, a smooth function of (h, f).  A second run from a fixed
+start escapes the basin near f -> 0, where the layer acts almost like
+vacuum; each run has its own evaluation budget.  Where the process may fork,
+may use two CPUs and runs one Python thread, that run goes to a forked child
+while the first runs here; the result is bit-identical to running both here,
+one after the other.
 """
 
 from __future__ import annotations
@@ -81,14 +82,17 @@ class FitResult:
     residuals: np.ndarray
 
     def to_dict(self) -> dict:
+        """Every field but ``residuals``, JSON-ready: a non-finite matrix entry is ``None``."""
+        def finite(matrix):
+            return [[v if math.isfinite(v) else None for v in row] for row in matrix.tolist()]
         return {
             "h_m": self.h,
             "f": self.f,
             "chi2": self.chi2,
             "n_evaluations": self.n_evaluations,
             "converged": self.converged,
-            "h_f_covariance_proxy": np.asarray(self.h_f_covariance_proxy).tolist(),
-            "covariance": np.asarray(self.covariance).tolist(),
+            "h_f_covariance_proxy": finite(np.asarray(self.h_f_covariance_proxy)),
+            "covariance": finite(np.asarray(self.covariance)),
         }
 
 

@@ -313,6 +313,21 @@ def test_cli_output_is_deterministic():
     assert first.stdout.count(b"\n") == 6
 
 
+def test_package_runs_as_a_module():
+    """``python -m lifshitz_plates`` writes what ``-m lifshitz_plates.cli`` writes,
+    and its exit code is ``main``'s, through ``entry_point``'s ``sys.exit``."""
+    argv = ["pressure", "1.0", "--model", "perfect", "--t0"]
+    package = subprocess.run([sys.executable, "-m", "lifshitz_plates", *argv],
+                             capture_output=True, check=True)
+    module = subprocess.run([sys.executable, "-m", "lifshitz_plates.cli", *argv],
+                            capture_output=True, check=True)
+    assert package.stdout == module.stdout and package.stdout.count(b"\n") == 2
+    refused = subprocess.run([sys.executable, "-m", "lifshitz_plates", *argv[:2], "--model", "nope"],
+                             capture_output=True)
+    assert refused.returncode == 2 and refused.stdout == b""
+    assert refused.stderr.startswith(b"error: ")
+
+
 def test_cli_import_leaves_quadpack_unloaded():
     """The CLI and the default integration route never import scipy, nor a
     process pool (the fitter forks by hand); the kperp oracle imports

@@ -586,6 +586,35 @@ def test_planned_zero_temperature_evaluation_lies_within_tolerance(request, plat
     assert np.all(np.abs(planned.pressure - table.pressure) <= 1e-9 * table.pressure)
 
 
+@pytest.mark.parametrize("plate_name", ["drude_stack", "plasma_stack", "rough_plate"])
+def test_plan_names_the_rule_each_row_was_last_integrated_on(monkeypatch, request, plate_name):
+    """At 77 K on 30-100 nm the plans reach levels 0-2.  Each planned row's last
+    kernel call in the sweep used the rule of its plan level, and the planned
+    evaluation integrates it once, on that rule's Gauss sibling."""
+    plate = request.getfixturevalue(plate_name)
+    settings = EvaluationSettings(temperature=77.0)
+    xi_1 = matsubara_frequency(1, settings.temperature)
+    last = {}
+    for name in ("_pol_integrals", "_pol_integrals_zero"):
+        def recording(stack, a, *args, _original=getattr(engine, name)):
+            ls = np.rint(args[0] / xi_1).astype(int) if len(args) == 2 else np.zeros(len(a), int)
+            for row in zip(np.ravel(a).tolist(), ls.tolist()):
+                last.setdefault(row, []).append(len(args[-1].nodes))
+            return _original(stack, a, *args)
+
+        monkeypatch.setattr(engine, name, recording)
+    table, plan = engine._sweep(plate, np.linspace(30e-9, 100e-9, 15), settings)
+    assert {0, 1, 2} <= set(np.concatenate(plan).tolist())
+    planned_rows = {(a, l): int(level) for a, levels in zip(table.a.tolist(), plan)
+                    for l, level in enumerate(levels)}
+    assert all(last[row][-1] == len(engine._rule(level).nodes)
+               for row, level in planned_rows.items())
+    last.clear()
+    engine._sweep(plate, table.d, settings, plan)
+    assert last == {row: [len(engine._rule(level).gauss.nodes)]
+                    for row, level in planned_rows.items()}
+
+
 @pytest.mark.parametrize("zero_temperature", [False, True])
 def test_planned_evaluation_is_smooth_along_h(rough_plate, zero_temperature):
     """On a fixed plan eta depends smoothly on h: third differences over 40

@@ -1,5 +1,6 @@
 import decimal
 import io
+import json
 import math
 import os
 import re
@@ -242,6 +243,22 @@ def test_fit_covariance_singular_at_zero_thickness(synthesize, gold):
     assert result.h == 0.0 and result.chi2 == 0.0
     assert not np.all(np.isfinite(result.covariance))
     assert np.all(np.isfinite(result.h_f_covariance_proxy))
+
+
+def test_to_dict_is_valid_json_with_a_non_finite_covariance(gold):
+    """With N = 2, s^2 = chi^2 / (N - 2) is not finite, and to_dict writes
+    None for each such entry, so json.dumps(..., allow_nan=False) accepts it;
+    it raised on the float NaN to_dict returned before."""
+    data = load_measurements("d_um,eta\n0.3,0.55\n0.5,0.65\n")
+    result = fit_roughness(data, (5e-9, 0.8), gold, 300.0)
+    assert not np.all(np.isfinite(result.covariance))
+    report = json.loads(json.dumps(result.to_dict(), allow_nan=False))
+    for key in ("covariance", "h_f_covariance_proxy"):
+        matrix = np.asarray(getattr(result, key))
+        assert report[key] == [[v if math.isfinite(v) else None for v in row]
+                               for row in matrix.tolist()]
+    assert None in sum(report["covariance"], [])
+    assert report["h_m"] == result.h and report["n_evaluations"] == result.n_evaluations
 
 
 def test_fit_reparameterization_invariance(synthesize, gold):
