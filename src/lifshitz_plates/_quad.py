@@ -97,6 +97,11 @@ class PanelRule:
         """The embedded 7-point Gauss rule alone on these edges, built once."""
         return PanelRule.from_edges(self.edges, gauss_only=True)
 
+    @functools.cached_property
+    def gauss_index(self) -> np.ndarray:
+        """Positions of :attr:`gauss`'s nodes among ``nodes``."""
+        return np.flatnonzero(np.tile(_GAUSS_W, len(self.edges) - 1))
+
 
 DEFAULT_RULE = PanelRule.from_edges(DEFAULT_EDGES)
 # DEFAULT_RULE one level coarser: every other edge, the last edge kept

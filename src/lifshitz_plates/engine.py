@@ -79,6 +79,8 @@ _DECAY_SAFETY = 1.2
 # a term whose u integral starts beyond u0 = 2 a xi / c = 16, at most about
 # exp(-16) of its gap's leading terms, starts one level coarser (60 nodes)
 _COARSE_FROM = 16.0
+# rows beyond those a nearby point's plan summed, in a first block sized from it
+_PLAN_MARGIN = 1
 
 # T = 0 rules in u = 2 a q and t = 2 a xi / (c u) = xi / (c q), Lifshitz's 1/p.
 # u on the default ladder, its first panel split at 0.1 for the u^3 weight;
@@ -199,12 +201,13 @@ def gap_from_average(d: float, layer_thickness: float, fill_factor: float) -> fl
 # ----------------------------------------------------------------------
 # scaled-variable quadrature of Matsubara terms, in waves over the gaps
 
-def _panel_sums(U2, u0, rule: PanelRule, r):
+def _panel_sums(U2, u0, rule: PanelRule, r, gather=False):
     """Panel sums of u^2 g/(1-g), g = r^2 exp(-u), for both polarizations.
 
     ``r`` is the reflection coefficient at the nodes u = ``u0`` + ``rule.nodes``
     (``U2`` = u^2) with a leading [TE, TM] axis.  Returns (I_te, I_tm, err);
-    err is the Kronrod-Gauss error estimate summed over both polarizations.
+    err is the Kronrod-Gauss error estimate summed over both polarizations;
+    with ``gather`` then I_te + I_tm on ``rule.gauss``, bit for bit, from the same f.
     """
     # in place: one (2, rows, nodes) temporary fewer per step keeps the
     # blocks from trimming and regrowing the heap on every call
@@ -213,28 +216,33 @@ def _panel_sums(U2, u0, rule: PanelRule, r):
     f = U2 * g
     f /= 1.0 - g
     sums = f @ rule.weights
-    return sums[0, :, 0], sums[1, :, 0], np.abs(sums[..., 1]).sum(axis=0)
+    out = sums[0, :, 0], sums[1, :, 0], np.abs(sums[..., 1]).sum(axis=0)
+    if gather:  # contiguous: a strided operand takes another matmul path, another last bit
+        te, tm = (np.ascontiguousarray(f[..., rule.gauss_index]) @ rule.gauss.weights)[..., 0]
+        out += (te + tm,)
+    return out
 
 
-def _pol_integrals(stack: LayerStack, a, xi: np.ndarray, rule: PanelRule):
+def _pol_integrals(stack: LayerStack, a, xi: np.ndarray, rule: PanelRule, gather=False):
     """Integrals of u^2 g/(1-g) over u for each row (a, xi > 0) and polarization.
 
     ``a`` is the gap of each row, or one gap for all rows.  The nodes u = 2 a q
     and their squares reach the stack layer as they are.  Returns (I_te, I_tm,
-    err) arrays of shape (len(xi),).
+    err) arrays of shape (len(xi),), with ``gather`` as in :func:`_panel_sums`.
     """
     a = np.reshape(a, (-1, 1))
     u0 = (2.0 * a / CONSTANTS.c) * xi[:, None]
     U = u0 + rule.nodes
     U2 = U * U
-    return _panel_sums(U2, u0, rule, _reflection(stack, xi[:, None], U, a, U2))
+    return _panel_sums(U2, u0, rule, _reflection(stack, xi[:, None], U, a, U2), gather)
 
 
-def _pol_integrals_zero(stack: LayerStack, a, rule: PanelRule):
+def _pol_integrals_zero(stack: LayerStack, a, rule: PanelRule, gather=False):
     """Same as :func:`_pol_integrals` for xi = 0 rows (analytic limits), one per gap in ``a``."""
     a = np.reshape(a, (-1, 1))
     U = np.broadcast_to(rule.nodes, (len(a), len(rule.nodes)))
-    return _panel_sums(rule.nodes * rule.nodes, 0.0, rule, _static_reflection(stack, U, a))
+    return _panel_sums(rule.nodes * rule.nodes, 0.0, rule, _static_reflection(stack, U, a),
+                       gather)
 
 
 @functools.lru_cache(maxsize=None)
@@ -243,33 +251,37 @@ def _rule(level: int) -> PanelRule:
     return (COARSE_RULE, DEFAULT_RULE)[level + 1] if level < 1 else _rule(level - 1).refined()
 
 
-def _integrate(stack, rows_a, xi, levels, gauss_only=False):
+def _integrate(stack, rows_a, xi, levels, gauss_only=False, gather=False):
     """(I_te, I_tm, err) of rows j at gap ``rows_a[j]`` and ``xi[j]`` on the rule of
     ``levels[j]``, or with ``gauss_only`` its embedded Gauss rule, as a (3, rows)
-    array.  Kernel calls go by level, ascending, xi = 0 rows before xi > 0 rows,
-    ``_BLOCK`` rows a call or as many as hold ``_BLOCK`` default-rule rows' nodes."""
-    values = np.empty((3, len(xi)))
+    array, with ``gather`` (4, rows) (see :func:`_panel_sums`).  Kernel calls go
+    by level, ascending, xi = 0 rows before xi > 0 rows, ``_BLOCK`` rows a call
+    or as many as hold ``_BLOCK`` default-rule rows' nodes."""
+    values = np.empty((3 + gather, len(xi)))
     for level, positive in sorted(set(zip(levels.tolist(), (xi > 0.0).tolist()))):
         rule = _rule(level).gauss if gauss_only else _rule(level)
         step = max(_BLOCK, _BLOCK * len(DEFAULT_RULE.nodes) // len(rule.nodes))
         i = np.flatnonzero((levels == level) & ((xi > 0.0) == positive))
         for start in range(0, len(i), step):
             j = i[start:start + step]
-            values[:, j] = (_pol_integrals(stack, rows_a[j], xi[j], rule) if positive
-                            else _pol_integrals_zero(stack, rows_a[j], rule))
+            values[:, j] = (_pol_integrals(stack, rows_a[j], xi[j], rule, gather=gather)
+                            if positive else _pol_integrals_zero(stack, rows_a[j], rule,
+                                                                 gather=gather))
     return values
 
 
-def _wave_terms(stack, a, blocks, temperature, quad_rel_tol, hints):
+def _wave_terms(stack, a, blocks, temperature, quad_rel_tol, hints, gather=False, lifts=()):
     """Pressure-sum integrands [te, tm] of one block of Matsubara indices per gap.
 
     ``blocks[i]`` holds ascending indices for gap ``a[i]``.  Each row has a rule
-    level (see :func:`_rule`): 0, or -1 beyond u0 = 2 a xi / c = ``_COARSE_FROM``.
-    A pass integrates its rows in the kernel calls of :func:`_integrate`.  Block
-    i is accepted when its summed Kronrod-Gauss estimate is <= 0.25
-    ``quad_rel_tol`` max(|hints[i]|, |te + tm over the block|); the rows of the
-    blocks that miss it go up one level for the next pass, at most
-    ``_MAX_REFINEMENTS`` times.  Returns per block its [te, tm] array, or the
+    level (see :func:`_rule`): 0, or -1 beyond u0 = 2 a xi / c = ``_COARSE_FROM``,
+    plus ``lifts[i]``, if given, in block i.  A pass integrates its rows in the
+    kernel calls of :func:`_integrate`.  Block i is accepted when its summed
+    Kronrod-Gauss estimate is <= 0.25 ``quad_rel_tol`` max(|hints[i]|, |te + tm
+    over the block|), so on its first pass if the hint is infinite; the rows of
+    the blocks that miss it go up one level for the next pass, at most
+    ``_MAX_REFINEMENTS`` times.  Returns per block its [te, tm] array, with
+    ``gather`` a third row te + tm on the Gauss siblings of the rules, or the
     ``QuadratureBudgetError`` of a block still above its target; and per block
     its rows' levels, each that of the rule the row was accepted on.
     """
@@ -278,11 +290,13 @@ def _wave_terms(stack, a, blocks, temperature, quad_rel_tol, hints):
     xi = matsubara_frequency(np.concatenate(blocks), temperature)
     rows_a = np.repeat(a, sizes)
     levels = np.where((2.0 * rows_a / CONSTANTS.c) * xi > _COARSE_FROM, -1, 0)
-    values = np.empty((3, len(xi)))
+    if any(lifts):
+        levels += np.repeat(lifts, sizes)
+    values = np.empty((3 + gather, len(xi)))
     rows = np.arange(len(xi))
     for _ in range(_MAX_REFINEMENTS + 1):
-        values[:, rows] = _integrate(stack, rows_a[rows], xi[rows], levels[rows])
-        te, tm, estimate = np.add.reduceat(values, edges[:-1], axis=1)
+        values[:, rows] = _integrate(stack, rows_a[rows], xi[rows], levels[rows], gather=gather)
+        te, tm, estimate = np.add.reduceat(values[:3], edges[:-1], axis=1)
         scale = np.maximum(np.abs(hints), np.abs(te + tm))
         target = 0.25 * quad_rel_tol * scale
         missed = ~(estimate <= target) & (scale != 0.0)
@@ -290,7 +304,7 @@ def _wave_terms(stack, a, blocks, temperature, quad_rel_tol, hints):
             break
         rows = np.flatnonzero(np.repeat(missed, sizes))
         levels[rows] += 1
-    out = np.split(values[:2], edges[1:-1], axis=1)
+    out = np.split(values[[0, 1, 3]] if gather else values[:2], edges[1:-1], axis=1)
     for i in np.flatnonzero(missed):
         ends = blocks[i][[0, -1]]
         xi_lo, xi_hi = matsubara_frequency(ends, temperature)
@@ -338,9 +352,11 @@ def _kperp_term(stack, a, l, temperature, quad_rel_tol):
 
 
 def _finite_t_pressures(stack, a: np.ndarray, settings: EvaluationSettings,
-                        integration_variable: str = "u"):
+                        integration_variable: str = "u", prior=None, gather=False):
     """Pressures at the ascending gaps ``a``, every primed Matsubara sum run in the
-    same waves, and their plan: per gap, the rule level of each row l = 0..L it summed.
+    same waves; their plan: per gap, the rule level of each row l = 0..L it summed;
+    and with ``gather`` the planned pressures on it from the waves' own
+    integrand values, bit for bit, else None.
 
     Gap i starts with a block of min(l_max + 1, ceil(_DECAY_SAFETY
     ln(1/sum_rel_tol) / x_1) + 2 consecutive_small_terms + 2) terms, with
@@ -350,13 +366,19 @@ def _finite_t_pressures(stack, a: np.ndarray, settings: EvaluationSettings,
     l = 0 (weight one half), ``consecutive_small_terms`` terms in a row each
     below ``sum_rel_tol`` times the running sum.  When gaps fail, the error of
     the smallest failing gap is raised and the gaps above it are dropped.
+
+    Given the plan ``prior`` of a nearby point, a first block holds at most
+    its gap's rows there + ``_PLAN_MARGIN``; if that head falls short, the rest
+    of the block follows untested on the head's accepted rule.  That changes
+    no bit unless the rest's share of the block's estimate and value would
+    have changed its acceptance: with a nearby prior, the sum's last terms.
     """
     temperature, tol = settings.temperature, settings.quad_rel_tol
     if integration_variable == "u":
-        def wave(gaps, blocks, hints):
-            return _wave_terms(stack, a[gaps], blocks, temperature, tol, hints)
+        def wave(gaps, blocks, hints, lifts):
+            return _wave_terms(stack, a[gaps], blocks, temperature, tol, hints, gather, lifts)
     else:
-        def wave(gaps, blocks, hints):
+        def wave(gaps, blocks, hints, lifts):
             # one QUADPACK integral per row and polarization; no rule levels
             return ([np.hstack([_kperp_term(stack, float(a[i]), int(l), temperature, tol)
                                 for l in ls]) for i, ls in zip(gaps, blocks)],
@@ -366,17 +388,21 @@ def _finite_t_pressures(stack, a: np.ndarray, settings: EvaluationSettings,
     x1 = (2.0 * matsubara_frequency(1, temperature) / CONSTANTS.c) * a
     size = np.minimum(l_max + 1, np.ceil(_DECAY_SAFETY * math.log(1.0 / settings.sum_rel_tol) / x1)
                       + 2 * need + 2).astype(int).tolist()
+    stop = [n if prior is None else min(n, len(prior[i]) + _PLAN_MARGIN)
+            for i, n in enumerate(size)]
     start = [0] * len(a)
+    lift = [None] * len(a)  # levels above the initial ones of an untested block
     total = [0.0] * len(a)
     streak = [0] * len(a)
-    plan = [[] for _ in a]
+    plan, gauss = [[] for _ in a], [[] for _ in a]
     failures = {}
     active = list(range(len(a)))
     while active:
-        blocks = [np.arange(start[i], min(start[i] + size[i], l_max + 1)) for i in active]
+        blocks = [np.arange(start[i], min(stop[i], l_max + 1)) for i in active]
+        hints = [total[i] if lift[i] is None else math.inf for i in active]  # inf: accepted
         unfinished = []
-        for i, ls, terms, levels in zip(active, blocks,
-                                        *wave(active, blocks, [total[i] for i in active])):
+        for i, ls, terms, levels in zip(active, blocks, *wave(
+                active, blocks, hints, [lift[i] or 0 for i in active])):
             if isinstance(terms, Exception):
                 failures[i] = terms
                 continue
@@ -390,31 +416,42 @@ def _finite_t_pressures(stack, a: np.ndarray, settings: EvaluationSettings,
                 if streak[i] >= need:
                     break
             plan[i].append(levels[:li + 1 - start[i]])
+            gauss[i].append(terms[2:, :li + 1 - start[i]])
             if streak[i] >= need:
                 continue
             if ls[-1] >= l_max:
                 failures[i] = MatsubaraTruncationError(
                     _pressure_prefactor(float(a[i]), temperature) * total[i], l_max, float(a[i]))
                 continue
-            start[i] = int(ls[-1]) + 1
-            size[i] = max(8, size[i] // 4)
+            start[i], lift[i] = stop[i], None
+            if stop[i] < size[i]:  # a short head: the rest of the first block, as unsized
+                lift[i], stop[i] = int(levels[0]), size[i]
+            else:
+                size[i] = max(8, size[i] // 4)
+                stop[i] += size[i]
             unfinished.append(i)
         active = [i for i in unfinished if i < min(failures, default=len(a))]
     if failures:
         raise failures[min(failures)]
+    plan = [np.concatenate(levels) for levels in plan]
+    sums = np.hstack([rows for blocks in gauss for rows in blocks]) if gather else None
     return (np.array([_pressure_prefactor(float(ai), temperature) * t for ai, t in zip(a, total)]),
-            [np.concatenate(levels) for levels in plan])
+            plan, _planned_pressures(stack, a, temperature, plan, sums[0]) if gather else None)
 
 
-def _planned_pressures(stack, a: np.ndarray, temperature: float, plan) -> np.ndarray:
+def _planned_pressures(stack, a: np.ndarray, temperature: float, plan, sums=None) -> np.ndarray:
     """Pressures at the gaps ``a`` on the plan of :func:`_finite_t_pressures`:
     each gap sums its planned rows, each on the embedded Gauss rule of its
-    level, with no stopping rule, no refinement test and no engine error."""
+    level, with no stopping rule, no refinement test and no engine error.
+    ``sums``, the planned rows' te + tm on those rules when already known,
+    replaces their integration."""
     sizes, levels = [len(p) for p in plan], np.concatenate(plan)
     ls = np.concatenate([np.arange(n) for n in sizes])
-    values = _integrate(stack, np.repeat(a, sizes), matsubara_frequency(ls, temperature), levels,
-                        gauss_only=True)
-    weighted = (values[0] + values[1]) * np.where(ls == 0, 0.5, 1.0)  # the primed sum
+    if sums is None:
+        values = _integrate(stack, np.repeat(a, sizes), matsubara_frequency(ls, temperature),
+                            levels, gauss_only=True)
+        sums = values[0] + values[1]
+    weighted = sums * np.where(ls == 0, 0.5, 1.0)  # the primed sum
     totals = np.add.reduceat(weighted, np.cumsum([0] + sizes[:-1]))
     return np.array([_pressure_prefactor(float(ai), temperature) * t for ai, t in zip(a, totals)])
 
@@ -450,8 +487,8 @@ def pressure(
         if integration_variable == "kperp":
             raise ValueError("integration_variable 'kperp' has no zero-temperature route")
         return pressure_zero_temperature(plate, a, settings)
-    pressures, _ = _finite_t_pressures(as_layer_stack(plate), np.array([a], dtype=float),
-                                       settings, integration_variable)
+    pressures, *_ = _finite_t_pressures(as_layer_stack(plate), np.array([a], dtype=float),
+                                        settings, integration_variable)
     return float(pressures[0])
 
 
@@ -477,16 +514,19 @@ def matsubara_pressure_term(
     return PolarizedTerm(te=prefactor * float(te[0]), tm=prefactor * float(tm[0]))
 
 
-def _t0_sums(stack: LayerStack, a: float, u_rule: PanelRule, t_rule: PanelRule) -> np.ndarray:
+def _t0_sums(stack: LayerStack, a: float, u_rule: PanelRule, t_rule: PanelRule, gather=False):
     """2x2 sums of u^3 sum_pol g/(1-g) on the tensor rule ``u_rule`` x ``t_rule``.
 
     Entry [i, j] weights u by column i of ``u_rule.weights`` and t by column j
     of ``t_rule.weights``: [0, 0] is the integral, [1, 0] and [0, 1] the signed
     Kronrod-Gauss differences along u and t.  A kernel call takes as many u rows
-    as hold the nodes of _BLOCK default-rule rows, at least one.
+    as hold the nodes of _BLOCK default-rule rows, at least one.  Returned with
+    [0, 0] on both rules' Gauss siblings, bit for bit, from the same integrand
+    values with ``gather``, else None.
     """
     step = max(1, _BLOCK * len(DEFAULT_RULE.nodes) // len(t_rule.nodes))
     sums = np.empty((len(u_rule.nodes), 2))
+    gauss = np.empty((len(u_rule.nodes), 2)) if gather else None
     for start in range(0, len(u_rule.nodes), step):
         rows = slice(start, start + step)
         u = u_rule.nodes[rows, None]
@@ -496,7 +536,14 @@ def _t0_sums(stack: LayerStack, a: float, u_rule: PanelRule, t_rule: PanelRule) 
         g *= u_rule.decay[rows, None]
         g /= 1.0 - g
         sums[rows] = (g[0] + g[1]) @ t_rule.weights
-    return (u_rule.nodes**3 * u_rule.weights.T) @ sums
+        if gather:  # contiguous, as in _panel_sums
+            g = np.ascontiguousarray(g[..., t_rule.gauss_index])
+            gauss[rows] = (g[0] + g[1]) @ t_rule.gauss.weights
+    sums = (u_rule.nodes**3 * u_rule.weights.T) @ sums
+    if gather:
+        u_gauss = u_rule.gauss
+        gauss = float(((u_gauss.nodes**3 * u_gauss.weights.T) @ gauss[u_rule.gauss_index])[0, 0])
+    return sums, gauss
 
 
 def pressure_zero_temperature(
@@ -521,18 +568,21 @@ def pressure_zero_temperature(
     return _t0_pressure(as_layer_stack(plate), a, settings.quad_rel_tol)[0]
 
 
-def _t0_pressure(stack: LayerStack, a: float, tol: float, rules=None):
-    """:func:`pressure_zero_temperature` at ``a`` and its plan, the accepted (u, t)
-    rules; given those ``rules``, one pass of their Gauss rules, with no test."""
+def _t0_pressure(stack: LayerStack, a: float, tol: float, rules=None, gather=False):
+    """:func:`pressure_zero_temperature` at ``a``, its plan, the accepted (u, t)
+    rules, and with ``gather`` the planned value on them, else None; given
+    those ``rules``, one pass of their Gauss rules, with no test."""
     prefactor = CONSTANTS.hbar * CONSTANTS.c / (32.0 * math.pi**2 * a**4)
     if rules is not None:
-        return prefactor * float(_t0_sums(stack, a, *(rule.gauss for rule in rules))[0, 0]), rules
+        sums, _ = _t0_sums(stack, a, *(rule.gauss for rule in rules))
+        return prefactor * float(sums[0, 0]), rules, None
     rules = [_T0_U_RULE, _T0_T_RULE]
     for _ in range(_MAX_REFINEMENTS + 1):
-        (val, err_t), (err_u, _) = _t0_sums(stack, a, *rules).tolist()
+        sums, gauss = _t0_sums(stack, a, *rules, gather=gather)
+        (val, err_t), (err_u, _) = sums.tolist()
         parts = [abs(err_u), abs(err_t)]
         if sum(parts) <= tol * abs(val) or val == 0.0:
-            return prefactor * val, rules
+            return prefactor * val, rules, None if gauss is None else prefactor * gauss
         axis = int(parts[1] > parts[0])
         rules[axis] = rules[axis].refined()
     raise QuadratureBudgetError(a, "T = 0 integral, larger estimate on the "
@@ -560,9 +610,12 @@ def eta_sweep(
     return _sweep(plate, d_values, settings)[0]
 
 
-def _sweep(plate: Plate, d_values, settings: EvaluationSettings | None, plan=None):
+def _sweep(plate: Plate, d_values, settings: EvaluationSettings | None, plan=None,
+           gather=False):
     """:func:`eta_sweep` and its plan; given that ``plan``, the planned
-    evaluation on it, whose pressures depend smoothly on the plate."""
+    evaluation on it, whose pressures depend smoothly on the plate.  With
+    ``gather``, the sweep, its first blocks sized from ``plan`` if given at
+    T > 0, then the planned evaluation's eta on its own plan, bit for bit."""
     settings = settings or EvaluationSettings()
     d_given = np.asarray(d_values, dtype=float)
     if d_given.ndim != 1:
@@ -584,13 +637,14 @@ def _sweep(plate: Plate, d_values, settings: EvaluationSettings | None, plan=Non
         pid_col[i] = ideal_pressure(d)
     stack = as_layer_stack(plate)
     if settings.zero_temperature:
-        points = [_t0_pressure(stack, a, settings.quad_rel_tol, rules)
-                  for a, rules in zip(a_col, plan or [None] * len(a_col))]
-        p_col, plan = np.array([p for p, _ in points]), [rules for _, rules in points]
-    elif plan is None:
-        p_col, plan = _finite_t_pressures(stack, a_col, settings)
+        points = [_t0_pressure(stack, a, settings.quad_rel_tol, rules, gather)
+                  for a, rules in zip(a_col, [None] * len(a_col) if gather or not plan else plan)]
+        p_col, plan, gauss = ([point[k] for point in points] for k in range(3))
+    elif plan is None or gather:
+        p_col, plan, gauss = _finite_t_pressures(stack, a_col, settings, prior=plan, gather=gather)
     else:
         p_col = _planned_pressures(stack, a_col, settings.temperature, plan)
-    eta_col = p_col / pid_col
-    return SweepTable(d=d_sorted, a=a_col, pressure=p_col,
-                      pressure_ideal=pid_col, eta=eta_col), plan
+    p_col = np.asarray(p_col)
+    table = SweepTable(d=d_sorted, a=a_col, pressure=p_col, pressure_ideal=pid_col,
+                       eta=p_col / pid_col)
+    return (table, plan, np.asarray(gauss) / pid_col) if gather else (table, plan)

@@ -7,12 +7,13 @@ x = (h / h_scale, f), where h_scale = max(h_max / 10, 1 nm).  Every point
 tried lies in the parameter domain and inside the feasibility bound
 2 h (1 - f) < min(d), so every gap a = d - 2 h (1 - f) is positive.  Each
 Jacobian differences the engine's planned evaluation on the plan of the
-point's full sweep, a smooth function of (h, f).  A second run from a fixed
-start escapes the basin near f -> 0, where the layer acts almost like
-vacuum; each run has its own evaluation budget.  Where the process may fork,
-may use two CPUs and runs one Python thread, that run goes to a forked child
-while the first runs here; the result is bit-identical to running both here,
-one after the other.
+point's full sweep, a smooth function of (h, f); that sweep also gives its
+value at the point, and sizes its first Matsubara blocks from the plan of the
+point it steps from.  A second run from a fixed start escapes the basin near
+f -> 0, where the layer acts almost like vacuum; each run has its own
+evaluation budget.  Where the process may fork, may use two CPUs and runs
+one Python thread, that run goes to a forked child while the first runs
+here; the result is bit-identical to running both here, one after the other.
 """
 
 from __future__ import annotations
@@ -212,18 +213,20 @@ def residuals(
     return _evaluate(h, f, data, material, temperature, settings)[0]
 
 
-def _evaluate(h, f, data, material, temperature, settings, plan=None):
+def _evaluate(h, f, data, material, temperature, settings, plan=None, gather=False):
     """(:func:`residuals`, the sweep's plan); given a ``plan``, the residuals
-    of the engine's planned evaluation on it instead, and that plan."""
+    of the engine's planned evaluation on it instead, and that plan.  With
+    ``gather`` as in ``_sweep``, the planned evaluation's residuals third."""
     if not data:
         raise ValueError("no measurements")
     settings = _settings_at(temperature, settings)
     plate = RoughPlateSpec(material, h, f)
     d, eta_obs, sigma = np.array([(m.d, m.eta, m.sigma) for m in data]).T
-    eta = np.empty_like(d)
-    table, plan = _sweep(plate, d, settings, plan)
-    eta[np.argsort(d)] = table.eta  # rows come in ascending d
-    return (eta - eta_obs) / sigma, plan
+    table, plan, *gauss = _sweep(plate, d, settings, plan, gather)
+    eta = np.empty((1 + len(gauss), len(d)))
+    eta[:, np.argsort(d)] = [table.eta, *gauss]  # rows come in ascending d
+    r = (eta - eta_obs) / sigma
+    return (r[0], plan, *r[1:])
 
 
 def objective(
@@ -314,10 +317,11 @@ def fit_roughness(
         """LM from ``x``: (run, evaluations); run is None if it raised one of ``dropped``."""
         count = 0
 
-        def evaluate(y, plan=None, counted=True):
+        def evaluate(y, plan=None, gather=False):
             nonlocal count
-            count += counted
-            return _evaluate(y[0] * h_scale, y[1], data, material, temperature, settings, plan)
+            count += 1
+            return _evaluate(y[0] * h_scale, y[1], data, material, temperature, settings,
+                             plan, gather)
 
         try:
             return _levenberg_marquardt(evaluate, x, project, noise, step,
@@ -405,12 +409,11 @@ def _forked(work):
         os.waitpid(pid, 0)
 
 
-def _jacobian(evaluate, x, plan, project, step):
+def _jacobian(evaluate, x, plan, base, project, step):
     """Forward differences (F(x + step e_i) - F(x)) / step of the planned
-    evaluation F on ``plan``, the full evaluation's plan at ``x``: two counted
-    evaluations, and F(x), not counted.  F is smooth, so no column sees a jump in
+    evaluation F on ``plan``, the full sweep's plan at ``x``, which gave
+    ``base`` = F(x): two evaluations.  F is smooth, so no column sees a jump in
     truncation or rule levels.  A step the projection would alter goes inward."""
-    base, _ = evaluate(x, plan, counted=False)
     jac = np.empty((len(base), 2))
     for i in range(2):
         dx = np.zeros(2)
@@ -423,8 +426,9 @@ def _jacobian(evaluate, x, plan, project, step):
 
 def _levenberg_marquardt(evaluate, x, project, noise, step, budget):
     """Projected Levenberg-Marquardt from the feasible ``x``; returns
-    (x, chi2, J, converged, r), with r the residuals at x.  ``evaluate(y)``
-    gives the residuals at y and their plan, on which :func:`_jacobian` forms J.
+    (x, chi2, J, converged, r), with r the residuals at x.  ``evaluate(y, plan,
+    True)`` gives the residuals at y from a sweep sized from ``plan``, its plan,
+    and the planned residuals on it, F(y), from which :func:`_jacobian` forms J.
 
     Errors at ``x`` propagate; a trial whose residual or Jacobian raises an
     engine error is rejected.  A trial costs one evaluation, and an accepted
@@ -436,8 +440,8 @@ def _levenberg_marquardt(evaluate, x, project, noise, step, budget):
     the relative truncation error of the forward differences and noise / step
     their rounding error.
     """
-    r, plan = evaluate(x)
-    jac = _jacobian(evaluate, x, plan, project, step)
+    r, plan, base = evaluate(x, None, True)
+    jac = _jacobian(evaluate, x, plan, base, project, step)
     lam = _LAMBDA_START
     while lam <= _LAMBDA_MAX:
         chi2 = float(r @ r)
@@ -459,10 +463,10 @@ def _levenberg_marquardt(evaluate, x, project, noise, step, budget):
         if budget() < 3:
             break
         try:
-            r_trial, plan = evaluate(trial)
+            r_trial, trial_plan, base = evaluate(trial, plan, True)
             if r_trial @ r_trial < chi2:
-                jac = _jacobian(evaluate, trial, plan, project, step)
-                x, r = trial, r_trial
+                jac = _jacobian(evaluate, trial, trial_plan, base, project, step)
+                x, r, plan = trial, r_trial, trial_plan
                 lam /= 10.0
                 continue
         except _ENGINE_ERRORS:

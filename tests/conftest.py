@@ -10,6 +10,7 @@ from lifshitz_plates import (
     EvaluationSettings,
     LayerStack,
     Measurement,
+    Oscillator,
     PerfectReflector,
     Plasma,
     build_rough_plate,
@@ -68,6 +69,14 @@ def rough_plate():
     return build_rough_plate(GOLD_WP, GOLD_GAMMA, 11e-9, 0.9)
 
 
+@pytest.fixture(scope="session")
+def rough_interband_plate():
+    """The rough plate with one interband oscillator (6 eV strength, 3 eV, 0.5 eV)."""
+    interband = Oscillator(ev_to_angular_frequency(6.0) ** 2, ev_to_angular_frequency(3.0),
+                           ev_to_angular_frequency(0.5))
+    return build_rough_plate(GOLD_WP, GOLD_GAMMA, 11e-9, 0.9, (interband,))
+
+
 @pytest.fixture
 def kernel_calls(monkeypatch):
     """Record every panel-kernel call, ``engine._pol_integrals`` and
@@ -75,8 +84,8 @@ def kernel_calls(monkeypatch):
     its rows' gaps, its number of rows and its rule's node count."""
     calls = []
     for name in ("_pol_integrals", "_pol_integrals_zero"):
-        def recording(stack, a, *args, _original=getattr(engine, name)):
-            out = _original(stack, a, *args)
+        def recording(stack, a, *args, _original=getattr(engine, name), **kwargs):
+            out = _original(stack, a, *args, **kwargs)
             calls.append((set(np.ravel(a).tolist()), len(out[0]), len(args[-1].nodes)))
             return out
 
@@ -92,22 +101,22 @@ class _Evaluations(list):
 def fit_evaluations(monkeypatch):
     """Record, in order, the evaluations a fit makes through its engine entry
     ``fit._sweep``: "sweep" for a full sweep, "column" for a planned
-    evaluation away from the point whose sweep made its plan.  The planned
-    reference at that point is not an evaluation and is not recorded.  A
-    ``refuse`` set on the record is called with it after each entry, and may
-    raise to refuse that evaluation."""
+    evaluation away from the point whose sweep made its plan, and "reference"
+    for one at that point.  A ``refuse`` set on the record is called with it
+    after each entry, and may raise to refuse that evaluation."""
     record, made_at, sweep = _Evaluations(), {}, fit_module._sweep
 
-    def recording(plate, d_values, settings, plan=None):
+    def recording(plate, d_values, settings, plan=None, gather=False):
         point = (plate.layer_thickness, plate.fill_factor)
-        if plan is None or made_at[id(plan)][1] != point:
-            record.append("sweep" if plan is None else "column")
-            if record.refuse:
-                record.refuse(record)
-        table, made = sweep(plate, d_values, settings, plan)
-        if plan is None:
+        full = plan is None or gather
+        record.append("sweep" if full else
+                      "column" if made_at[id(plan)][1] != point else "reference")
+        if record.refuse:
+            record.refuse(record)
+        table, made, *gauss = sweep(plate, d_values, settings, plan, gather)
+        if full:
             made_at[id(made)] = (made, point)
-        return table, made
+        return (table, made, *gauss)
 
     monkeypatch.setattr(fit_module, "_sweep", recording)
     return record

@@ -243,7 +243,8 @@ def test_fit_sweeps_only_for_its_evaluations(capsys, tmp_path, synthesize, monke
                                              fit_evaluations):
     """The residual table comes from the fit's own residuals at (h, f): the
     command makes no sweep beyond the fit's evaluations, its full sweeps and
-    its planned Jacobian columns."""
+    its planned Jacobian columns.  No planned evaluation runs at the point
+    whose sweep made its plan: that sweep gave its value."""
     data_path = tmp_path / "meas.csv"
     dump_measurements(synthesize(11e-9, 0.9, np.linspace(200e-9, 700e-9, 6), noise=0.002,
                                  seed=5, weighted=True), data_path)
@@ -258,6 +259,7 @@ def test_fit_sweeps_only_for_its_evaluations(capsys, tmp_path, synthesize, monke
     code, out, _ = run_cli(capsys, "fit", "--data", str(data_path),
                            "--out", str(tmp_path / "residuals.csv"))
     assert code == 0
+    assert "reference" not in calls
     assert len(calls) == json.loads(out)["n_evaluations"]
 
 

@@ -596,11 +596,11 @@ def test_plan_names_the_rule_each_row_was_last_integrated_on(monkeypatch, reques
     xi_1 = matsubara_frequency(1, settings.temperature)
     last = {}
     for name in ("_pol_integrals", "_pol_integrals_zero"):
-        def recording(stack, a, *args, _original=getattr(engine, name)):
+        def recording(stack, a, *args, _original=getattr(engine, name), **kwargs):
             ls = np.rint(args[0] / xi_1).astype(int) if len(args) == 2 else np.zeros(len(a), int)
             for row in zip(np.ravel(a).tolist(), ls.tolist()):
                 last.setdefault(row, []).append(len(args[-1].nodes))
-            return _original(stack, a, *args)
+            return _original(stack, a, *args, **kwargs)
 
         monkeypatch.setattr(engine, name, recording)
     table, plan = engine._sweep(plate, np.linspace(30e-9, 100e-9, 15), settings)
@@ -613,6 +613,88 @@ def test_plan_names_the_rule_each_row_was_last_integrated_on(monkeypatch, reques
     engine._sweep(plate, table.d, settings, plan)
     assert last == {row: [len(engine._rule(level).gauss.nodes)]
                     for row, level in planned_rows.items()}
+
+
+GATHER_GRIDS = {"submicron": BENCHMARK_GRIDS["submicron"], "wide": BENCHMARK_GRIDS["wide"],
+                "30-100nm": np.linspace(30e-9, 100e-9, 15)}
+
+
+def _shifted_to_gaps(plate, d):
+    """``d`` moved up by the plate's gap offset 2 h (1 - f), so the gaps are ``d``."""
+    if isinstance(plate, engine.RoughPlateSpec):
+        return d + 2.0 * plate.layer_thickness * (1.0 - plate.fill_factor)
+    return d
+
+
+@pytest.mark.parametrize("settings", [EvaluationSettings(temperature=300.0),
+                                      EvaluationSettings(temperature=77.0),
+                                      EvaluationSettings(zero_temperature=True)],
+                         ids=["300K", "77K", "T0"])
+@pytest.mark.parametrize("plate_name", ["perfect_stack", "drude_stack", "plasma_stack",
+                                        "rough_plate", "rough_interband_plate"])
+def test_gathered_gauss_value_is_the_planned_evaluation(request, plate_name, settings):
+    """A gathering sweep returns the planned evaluation on its own plan, bit for
+    bit, from its own integrand values, and is itself the plain sweep: a fit's
+    Jacobian columns difference two results of identical arithmetic, so the f
+    column is exactly zero at h = 0.  On 30-100 nm the plans reach levels 0-2."""
+    plate = request.getfixturevalue(plate_name)
+    for grid in GATHER_GRIDS.values():
+        d = _shifted_to_gaps(plate, grid)
+        plain, plain_plan = engine._sweep(plate, d, settings)
+        table, plan, gauss = engine._sweep(plate, d, settings, None, True)
+        planned, _ = engine._sweep(plate, d, settings, plan)
+        assert gauss.tobytes() == planned.eta.tobytes()
+        assert table.pressure.tobytes() == plain.pressure.tobytes()
+        assert table.eta.tobytes() == plain.eta.tobytes()
+        if settings.zero_temperature:
+            assert [[r.edges.tolist() for r in rules] for rules in plan] == \
+                [[r.edges.tolist() for r in rules] for rules in plain_plan]
+        else:
+            assert [p.tolist() for p in plan] == [p.tolist() for p in plain_plan]
+
+
+@pytest.mark.parametrize("grid", ["submicron", "30-100nm"])
+@pytest.mark.parametrize("temperature", [300.0, 77.0])
+def test_a_sweep_sized_from_a_prior_plan_changes_no_bits(monkeypatch, rough_plate, temperature,
+                                                         grid):
+    """A full sweep whose first blocks are sized from the plan of the same
+    point, of h -+ 1 nm, or of larger gaps (fewer rows: its heads fall short
+    and the rest of each first block follows in a later wave, on the rule its
+    head was accepted on) gives the unsized sweep's eta bytes and plan, and
+    integrates no more rows."""
+    settings = EvaluationSettings(temperature=temperature)
+    d = _shifted_to_gaps(rough_plate, GATHER_GRIDS[grid])
+    rows, waves = [], []
+    pol_integrals, wave_terms = engine._pol_integrals, engine._wave_terms
+
+    def counted(stack, a, xi, rule, **kwargs):
+        out = pol_integrals(stack, a, xi, rule, **kwargs)
+        rows.append(len(out[0]))
+        return out
+
+    monkeypatch.setattr(engine, "_pol_integrals", counted)
+    monkeypatch.setattr(engine, "_wave_terms", lambda *args: waves.append(args) or wave_terms(*args))
+
+    def plate_at(h):
+        return build_rough_plate(GOLD_WP, GOLD_GAMMA, h, 0.9)
+
+    priors = {"same point": engine._sweep(rough_plate, d, settings)[1],
+              "h - 1 nm": engine._sweep(plate_at(10e-9), d, settings)[1],
+              "h + 1 nm": engine._sweep(plate_at(12e-9), d, settings)[1],
+              "fewer rows": engine._sweep(rough_plate, 1.5 * d, settings)[1]}
+    rows.clear(), waves.clear()
+    unsized, plan, _ = engine._sweep(rough_plate, d, settings, None, True)
+    unsized_rows, unsized_waves = sum(rows), len(waves)
+    assert any(len(p) > len(q) for p, q in zip(plan, priors["fewer rows"]))
+    for name, prior in priors.items():
+        rows.clear(), waves.clear()
+        table, sized_plan, _ = engine._sweep(rough_plate, d, settings, prior, True)
+        assert table.eta.tobytes() == unsized.eta.tobytes(), name
+        assert table.pressure.tobytes() == unsized.pressure.tobytes(), name
+        assert [p.tolist() for p in sized_plan] == [p.tolist() for p in plan], name
+        assert sum(rows) <= unsized_rows, name
+        if name == "fewer rows":
+            assert len(waves) > unsized_waves
 
 
 @pytest.mark.parametrize("zero_temperature", [False, True])
