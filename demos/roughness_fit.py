@@ -3,9 +3,9 @@
 Generates a synthetic reduction-factor dataset from the two-layer model at
 (h = 11 nm, f = 0.9) with 0.2% multiplicative noise, then runs the projected
 Levenberg-Marquardt fit from a deliberately wrong starting point (and, as
-always, from the fixed second start (h_max / 10, 0.5)) and prints the recovered
-parameters, the Gauss-Newton curvature 2 J^T J of chi^2 and the covariance
-s^2 (J^T J)^-1 at the optimum.
+always, from the fixed second start (h_scale, 0.5), with h_scale =
+max(h_max / 10, 1 nm)) and prints the recovered parameters, the Gauss-Newton
+curvature 2 J^T J of chi^2 and the covariance s^2 (J^T J)^-1 at the optimum.
 """
 
 import numpy as np

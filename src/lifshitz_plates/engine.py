@@ -514,19 +514,16 @@ def matsubara_pressure_term(
     return PolarizedTerm(te=prefactor * float(te[0]), tm=prefactor * float(tm[0]))
 
 
-def _t0_sums(stack: LayerStack, a: float, u_rule: PanelRule, t_rule: PanelRule, gather=False):
+def _t0_sums(stack: LayerStack, a: float, u_rule: PanelRule, t_rule: PanelRule):
     """2x2 sums of u^3 sum_pol g/(1-g) on the tensor rule ``u_rule`` x ``t_rule``.
 
     Entry [i, j] weights u by column i of ``u_rule.weights`` and t by column j
     of ``t_rule.weights``: [0, 0] is the integral, [1, 0] and [0, 1] the signed
     Kronrod-Gauss differences along u and t.  A kernel call takes as many u rows
-    as hold the nodes of _BLOCK default-rule rows, at least one.  Returned with
-    [0, 0] on both rules' Gauss siblings, bit for bit, from the same integrand
-    values with ``gather``, else None.
+    as hold the nodes of _BLOCK default-rule rows, at least one.
     """
     step = max(1, _BLOCK * len(DEFAULT_RULE.nodes) // len(t_rule.nodes))
     sums = np.empty((len(u_rule.nodes), 2))
-    gauss = np.empty((len(u_rule.nodes), 2)) if gather else None
     for start in range(0, len(u_rule.nodes), step):
         rows = slice(start, start + step)
         u = u_rule.nodes[rows, None]
@@ -536,14 +533,7 @@ def _t0_sums(stack: LayerStack, a: float, u_rule: PanelRule, t_rule: PanelRule, 
         g *= u_rule.decay[rows, None]
         g /= 1.0 - g
         sums[rows] = (g[0] + g[1]) @ t_rule.weights
-        if gather:  # contiguous, as in _panel_sums
-            g = np.ascontiguousarray(g[..., t_rule.gauss_index])
-            gauss[rows] = (g[0] + g[1]) @ t_rule.gauss.weights
-    sums = (u_rule.nodes**3 * u_rule.weights.T) @ sums
-    if gather:
-        u_gauss = u_rule.gauss
-        gauss = float(((u_gauss.nodes**3 * u_gauss.weights.T) @ gauss[u_rule.gauss_index])[0, 0])
-    return sums, gauss
+    return (u_rule.nodes**3 * u_rule.weights.T) @ sums
 
 
 def pressure_zero_temperature(
@@ -568,21 +558,18 @@ def pressure_zero_temperature(
     return _t0_pressure(as_layer_stack(plate), a, settings.quad_rel_tol)[0]
 
 
-def _t0_pressure(stack: LayerStack, a: float, tol: float, rules=None, gather=False):
-    """:func:`pressure_zero_temperature` at ``a``, its plan, the accepted (u, t)
-    rules, and with ``gather`` the planned value on them, else None; given
-    those ``rules``, one pass of their Gauss rules, with no test."""
+def _t0_pressure(stack: LayerStack, a: float, tol: float, rules=None):
+    """:func:`pressure_zero_temperature` at ``a`` and the accepted (u, t) rules,
+    its plan; given those ``rules``, one pass of their Gauss rules, with no test."""
     prefactor = CONSTANTS.hbar * CONSTANTS.c / (32.0 * math.pi**2 * a**4)
     if rules is not None:
-        sums, _ = _t0_sums(stack, a, *(rule.gauss for rule in rules))
-        return prefactor * float(sums[0, 0]), rules, None
+        return prefactor * float(_t0_sums(stack, a, *(rule.gauss for rule in rules))[0, 0]), rules
     rules = [_T0_U_RULE, _T0_T_RULE]
     for _ in range(_MAX_REFINEMENTS + 1):
-        sums, gauss = _t0_sums(stack, a, *rules, gather=gather)
-        (val, err_t), (err_u, _) = sums.tolist()
+        (val, err_t), (err_u, _) = _t0_sums(stack, a, *rules).tolist()
         parts = [abs(err_u), abs(err_t)]
         if sum(parts) <= tol * abs(val) or val == 0.0:
-            return prefactor * val, rules, None if gauss is None else prefactor * gauss
+            return prefactor * val, rules
         axis = int(parts[1] > parts[0])
         rules[axis] = rules[axis].refined()
     raise QuadratureBudgetError(a, "T = 0 integral, larger estimate on the "
@@ -615,7 +602,9 @@ def _sweep(plate: Plate, d_values, settings: EvaluationSettings | None, plan=Non
     """:func:`eta_sweep` and its plan; given that ``plan``, the planned
     evaluation on it, whose pressures depend smoothly on the plate.  With
     ``gather``, the sweep, its first blocks sized from ``plan`` if given at
-    T > 0, then the planned evaluation's eta on its own plan, bit for bit."""
+    T > 0, then the planned evaluation's eta on its own plan: at T > 0 from the
+    sweep's own integrand values, at T = 0 from one planned pass on the
+    accepted rules."""
     settings = settings or EvaluationSettings()
     d_given = np.asarray(d_values, dtype=float)
     if d_given.ndim != 1:
@@ -637,9 +626,11 @@ def _sweep(plate: Plate, d_values, settings: EvaluationSettings | None, plan=Non
         pid_col[i] = ideal_pressure(d)
     stack = as_layer_stack(plate)
     if settings.zero_temperature:
-        points = [_t0_pressure(stack, a, settings.quad_rel_tol, rules, gather)
-                  for a, rules in zip(a_col, [None] * len(a_col) if gather or not plan else plan)]
-        p_col, plan, gauss = ([point[k] for point in points] for k in range(3))
+        points = [_t0_pressure(stack, a, settings.quad_rel_tol, rules) for a, rules in
+                  zip(a_col, [None] * len(a_col) if plan is None or gather else plan)]
+        p_col, plan = ([point[k] for point in points] for k in range(2))
+        gauss = [_t0_pressure(stack, a, settings.quad_rel_tol, rules)[0]
+                 for a, rules in zip(a_col, plan)] if gather else None
     elif plan is None or gather:
         p_col, plan, gauss = _finite_t_pressures(stack, a_col, settings, prior=plan, gather=gather)
     else:

@@ -250,6 +250,13 @@ def test_eta_sweep_perfect_reflector_is_unity(perfect_stack):
     assert table.a[0] == table.d[0]
 
 
+@pytest.mark.parametrize("zero_temperature", [False, True])
+def test_eta_sweep_of_an_empty_grid_is_an_empty_table(rough_plate, zero_temperature):
+    table = eta_sweep(rough_plate, [], EvaluationSettings(zero_temperature=zero_temperature))
+    for column in (table.d, table.a, table.pressure, table.pressure_ideal, table.eta):
+        assert column.shape == (0,)
+
+
 def test_eta_sweep_columns_and_order(rough_plate, settings300):
     d_values = [0.5e-6, 0.2e-6, 1.0e-6]  # deliberately unsorted
     table = eta_sweep(rough_plate, d_values, settings300)
@@ -634,9 +641,10 @@ def _shifted_to_gaps(plate, d):
                                         "rough_plate", "rough_interband_plate"])
 def test_gathered_gauss_value_is_the_planned_evaluation(request, plate_name, settings):
     """A gathering sweep returns the planned evaluation on its own plan, bit for
-    bit, from its own integrand values, and is itself the plain sweep: a fit's
-    Jacobian columns difference two results of identical arithmetic, so the f
-    column is exactly zero at h = 0.  On 30-100 nm the plans reach levels 0-2."""
+    bit, at T > 0 from its own integrand values and at T = 0 from one planned
+    pass, and is itself the plain sweep: a fit's Jacobian columns difference
+    two results of identical arithmetic, so the f column is exactly zero at
+    h = 0.  On 30-100 nm the plans reach levels 0-2."""
     plate = request.getfixturevalue(plate_name)
     for grid in GATHER_GRIDS.values():
         d = _shifted_to_gaps(plate, grid)

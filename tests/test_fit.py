@@ -235,14 +235,20 @@ def test_fit_covariance_brackets_truth(noisy_data, gold):
 
 
 @pytest.mark.filterwarnings("error")
-def test_fit_covariance_singular_at_zero_thickness(synthesize, gold):
-    """At h = 0 the f column of the Jacobian is exactly zero: J^T J is
+@pytest.mark.parametrize("settings", [EvaluationSettings(temperature=300.0),
+                                      EvaluationSettings(zero_temperature=True)],
+                         ids=["300K", "T0"])
+def test_fit_covariance_singular_at_zero_thickness(synthesize, gold, settings):
+    """At h = 0 the f column of the Jacobian is exactly zero, at 300 K and at
+    T = 0 alike: F(x) and the columns come from the same arithmetic.  J^T J is
     singular, and the covariance is reported non-finite instead of raising."""
-    data = synthesize(0.0, 0.9, np.linspace(200e-9, 700e-9, 4))
-    result = fit_roughness(data, (0.0, 0.9), gold, 300.0)
+    data = synthesize(0.0, 0.9, np.linspace(200e-9, 700e-9, 4), settings=settings)
+    result = fit_roughness(data, (0.0, 0.9), gold, 300.0, settings=settings)
     assert result.h == 0.0 and result.chi2 == 0.0
     assert not np.all(np.isfinite(result.covariance))
-    assert np.all(np.isfinite(result.h_f_covariance_proxy))
+    proxy = result.h_f_covariance_proxy
+    assert np.all(np.isfinite(proxy))
+    assert proxy[0, 1] == proxy[1, 0] == proxy[1, 1] == 0.0
 
 
 def test_to_dict_is_valid_json_with_a_non_finite_covariance(gold):

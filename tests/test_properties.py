@@ -159,7 +159,9 @@ def _low_temperature_shift(plate, temperature):
 @given(plate=st.sampled_from([PERFECT, PLATES["plasma"]]), temperature=st.floats(3.0, 10.0))
 def test_low_temperature_sum_meets_the_zero_temperature_integral(plate, temperature):
     """For plates without dissipation the Matsubara sum tends to the T = 0
-    integral: within 1e-7 at 3-10 K and 500 nm (about 1e-8 measured)."""
+    integral: within 1e-7 at 3-10 K and 500 nm.  The measured shift, about
+    1e-8, is the bias of the truncated Matsubara sum (ROADMAP direction 3):
+    -1.19e-8 for plasma at 500 nm and 3 K."""
     assert _low_temperature_shift(plate, temperature) <= 1e-7
 
 

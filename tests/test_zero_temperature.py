@@ -76,9 +76,9 @@ def t0_passes(monkeypatch):
     """Record (u nodes, t nodes) of every pass of the T = 0 tensor rule."""
     passes = []
 
-    def recording(stack, a, u_rule, t_rule, _original=engine._t0_sums, **kwargs):
+    def recording(stack, a, u_rule, t_rule, _original=engine._t0_sums):
         passes.append((len(u_rule.nodes), len(t_rule.nodes)))
-        return _original(stack, a, u_rule, t_rule, **kwargs)
+        return _original(stack, a, u_rule, t_rule)
 
     monkeypatch.setattr(engine, "_t0_sums", recording)
     return passes
