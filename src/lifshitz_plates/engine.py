@@ -11,8 +11,9 @@ variable u = 2 a q_l, where the integrand decays like u^2 exp(-u) uniformly
 in l, so every Matsubara term at every gap shares one panel layout and each
 kernel call integrates a block of (gap, xi) rows in single vectorized
 operations, fed to the reflection pass as they are.  The terms fall like
-exp(-l x_1), x_1 = 2 a xi_1 / c, so each gap sums a first block sized from that
-decay rate, then blocks a quarter as long; terms beyond u = 16 start coarser.
+exp(-l x_1), x_1 = 2 a xi_1 / c, so each gap of every sweep, a fit's included,
+sums a first block sized from that decay rate, then blocks a quarter as long;
+terms beyond u = 16 start coarser.
 All gaps of a sweep are summed together in waves: one wave integrates the
 current block of every unfinished gap, the xi = 0 rows of all gaps in one
 call, and then runs each gap's stopping rule.  A wave is one _wave_terms
@@ -79,8 +80,6 @@ _DECAY_SAFETY = 1.2
 # a term whose u integral starts beyond u0 = 2 a xi / c = 16, at most about
 # exp(-16) of its gap's leading terms, starts one level coarser (60 nodes)
 _COARSE_FROM = 16.0
-# rows beyond those a nearby point's plan summed, in a first block sized from it
-_PLAN_MARGIN = 1
 
 # T = 0 rules in u = 2 a q and t = 2 a xi / (c u) = xi / (c q), Lifshitz's 1/p.
 # u on the default ladder, its first panel split at 0.1 for the u^3 weight;
@@ -270,17 +269,16 @@ def _integrate(stack, rows_a, xi, levels, gauss_only=False, gather=False):
     return values
 
 
-def _wave_terms(stack, a, blocks, temperature, quad_rel_tol, hints, gather=False, lifts=()):
+def _wave_terms(stack, a, blocks, temperature, quad_rel_tol, hints, gather=False):
     """Pressure-sum integrands [te, tm] of one block of Matsubara indices per gap.
 
-    ``blocks[i]`` holds ascending indices for gap ``a[i]``.  Each row has a rule
-    level (see :func:`_rule`): 0, or -1 beyond u0 = 2 a xi / c = ``_COARSE_FROM``,
-    plus ``lifts[i]``, if given, in block i.  A pass integrates its rows in the
-    kernel calls of :func:`_integrate`.  Block i is accepted when its summed
-    Kronrod-Gauss estimate is <= 0.25 ``quad_rel_tol`` max(|hints[i]|, |te + tm
-    over the block|), so on its first pass if the hint is infinite; the rows of
-    the blocks that miss it go up one level for the next pass, at most
-    ``_MAX_REFINEMENTS`` times.  Returns per block its [te, tm] array, with
+    ``blocks[i]`` holds ascending indices for gap ``a[i]``.  Each row starts at
+    a rule level (see :func:`_rule`): 0, or -1 beyond u0 = 2 a xi / c =
+    ``_COARSE_FROM``.  A pass integrates its rows in the kernel calls of
+    :func:`_integrate`.  Block i is accepted when its summed Kronrod-Gauss
+    estimate is <= 0.25 ``quad_rel_tol`` max(|hints[i]|, |te + tm over the
+    block|); the rows of the blocks that miss it go up one level for the next
+    pass, at most ``_MAX_REFINEMENTS`` times.  Returns per block its [te, tm] array, with
     ``gather`` a third row te + tm on the Gauss siblings of the rules, or the
     ``QuadratureBudgetError`` of a block still above its target; and per block
     its rows' levels, each that of the rule the row was accepted on.
@@ -290,8 +288,6 @@ def _wave_terms(stack, a, blocks, temperature, quad_rel_tol, hints, gather=False
     xi = matsubara_frequency(np.concatenate(blocks), temperature)
     rows_a = np.repeat(a, sizes)
     levels = np.where((2.0 * rows_a / CONSTANTS.c) * xi > _COARSE_FROM, -1, 0)
-    if any(lifts):
-        levels += np.repeat(lifts, sizes)
     values = np.empty((3 + gather, len(xi)))
     rows = np.arange(len(xi))
     for _ in range(_MAX_REFINEMENTS + 1):
@@ -352,33 +348,27 @@ def _kperp_term(stack, a, l, temperature, quad_rel_tol):
 
 
 def _finite_t_pressures(stack, a: np.ndarray, settings: EvaluationSettings,
-                        integration_variable: str = "u", prior=None, gather=False):
+                        integration_variable: str = "u", gather=False):
     """Pressures at the ascending gaps ``a``, every primed Matsubara sum run in the
     same waves; their plan: per gap, the rule level of each row l = 0..L it summed;
     and with ``gather`` the planned pressures on it from the waves' own
     integrand values, bit for bit, else None.
 
     Gap i starts with a block of min(l_max + 1, ceil(_DECAY_SAFETY
-    ln(1/sum_rel_tol) / x_1) + 2 consecutive_small_terms + 2) terms, with
+    ln(1/sum_rel_tol) / x_1) + consecutive_small_terms + 1) terms, with
     x_1 = 2 a_i xi_1 / c the decay rate of its terms; each later block is
     max(8, previous // 4) terms.  A wave integrates the current block of
     every unfinished gap together, then runs each gap's stopping rule: after
     l = 0 (weight one half), ``consecutive_small_terms`` terms in a row each
     below ``sum_rel_tol`` times the running sum.  When gaps fail, the error of
     the smallest failing gap is raised and the gaps above it are dropped.
-
-    Given the plan ``prior`` of a nearby point, a first block holds at most
-    its gap's rows there + ``_PLAN_MARGIN``; if that head falls short, the rest
-    of the block follows untested on the head's accepted rule.  That changes
-    no bit unless the rest's share of the block's estimate and value would
-    have changed its acceptance: with a nearby prior, the sum's last terms.
     """
     temperature, tol = settings.temperature, settings.quad_rel_tol
     if integration_variable == "u":
-        def wave(gaps, blocks, hints, lifts):
-            return _wave_terms(stack, a[gaps], blocks, temperature, tol, hints, gather, lifts)
+        def wave(gaps, blocks, hints):
+            return _wave_terms(stack, a[gaps], blocks, temperature, tol, hints, gather)
     else:
-        def wave(gaps, blocks, hints, lifts):
+        def wave(gaps, blocks, hints):
             # one QUADPACK integral per row and polarization; no rule levels
             return ([np.hstack([_kperp_term(stack, float(a[i]), int(l), temperature, tol)
                                 for l in ls]) for i, ls in zip(gaps, blocks)],
@@ -387,22 +377,18 @@ def _finite_t_pressures(stack, a: np.ndarray, settings: EvaluationSettings,
     l_max, need = settings.l_max, settings.consecutive_small_terms
     x1 = (2.0 * matsubara_frequency(1, temperature) / CONSTANTS.c) * a
     size = np.minimum(l_max + 1, np.ceil(_DECAY_SAFETY * math.log(1.0 / settings.sum_rel_tol) / x1)
-                      + 2 * need + 2).astype(int).tolist()
-    stop = [n if prior is None else min(n, len(prior[i]) + _PLAN_MARGIN)
-            for i, n in enumerate(size)]
+                      + need + 1).astype(int).tolist()
     start = [0] * len(a)
-    lift = [None] * len(a)  # levels above the initial ones of an untested block
     total = [0.0] * len(a)
     streak = [0] * len(a)
     plan, gauss = [[] for _ in a], [[] for _ in a]
     failures = {}
     active = list(range(len(a)))
     while active:
-        blocks = [np.arange(start[i], min(stop[i], l_max + 1)) for i in active]
-        hints = [total[i] if lift[i] is None else math.inf for i in active]  # inf: accepted
+        blocks = [np.arange(start[i], min(start[i] + size[i], l_max + 1)) for i in active]
+        hints = [total[i] for i in active]
         unfinished = []
-        for i, ls, terms, levels in zip(active, blocks, *wave(
-                active, blocks, hints, [lift[i] or 0 for i in active])):
+        for i, ls, terms, levels in zip(active, blocks, *wave(active, blocks, hints)):
             if isinstance(terms, Exception):
                 failures[i] = terms
                 continue
@@ -423,12 +409,8 @@ def _finite_t_pressures(stack, a: np.ndarray, settings: EvaluationSettings,
                 failures[i] = MatsubaraTruncationError(
                     _pressure_prefactor(float(a[i]), temperature) * total[i], l_max, float(a[i]))
                 continue
-            start[i], lift[i] = stop[i], None
-            if stop[i] < size[i]:  # a short head: the rest of the first block, as unsized
-                lift[i], stop[i] = int(levels[0]), size[i]
-            else:
-                size[i] = max(8, size[i] // 4)
-                stop[i] += size[i]
+            start[i] += size[i]
+            size[i] = max(8, size[i] // 4)
             unfinished.append(i)
         active = [i for i in unfinished if i < min(failures, default=len(a))]
     if failures:
@@ -601,10 +583,9 @@ def _sweep(plate: Plate, d_values, settings: EvaluationSettings | None, plan=Non
            gather=False):
     """:func:`eta_sweep` and its plan; given that ``plan``, the planned
     evaluation on it, whose pressures depend smoothly on the plate.  With
-    ``gather``, the sweep, its first blocks sized from ``plan`` if given at
-    T > 0, then the planned evaluation's eta on its own plan: at T > 0 from the
-    sweep's own integrand values, at T = 0 from one planned pass on the
-    accepted rules."""
+    ``gather``, also the planned evaluation's eta on the plan returned: after
+    a full sweep at T > 0 from the sweep's own integrand values, at T = 0 from
+    one planned pass on the accepted rules."""
     settings = settings or EvaluationSettings()
     d_given = np.asarray(d_values, dtype=float)
     if d_given.ndim != 1:
@@ -627,14 +608,14 @@ def _sweep(plate: Plate, d_values, settings: EvaluationSettings | None, plan=Non
     stack = as_layer_stack(plate)
     if settings.zero_temperature:
         points = [_t0_pressure(stack, a, settings.quad_rel_tol, rules) for a, rules in
-                  zip(a_col, [None] * len(a_col) if plan is None or gather else plan)]
+                  zip(a_col, [None] * len(a_col) if plan is None else plan)]
         p_col, plan = ([point[k] for point in points] for k in range(2))
         gauss = [_t0_pressure(stack, a, settings.quad_rel_tol, rules)[0]
                  for a, rules in zip(a_col, plan)] if gather else None
-    elif plan is None or gather:
-        p_col, plan, gauss = _finite_t_pressures(stack, a_col, settings, prior=plan, gather=gather)
+    elif plan is None:
+        p_col, plan, gauss = _finite_t_pressures(stack, a_col, settings, gather=gather)
     else:
-        p_col = _planned_pressures(stack, a_col, settings.temperature, plan)
+        p_col = gauss = _planned_pressures(stack, a_col, settings.temperature, plan)
     p_col = np.asarray(p_col)
     table = SweepTable(d=d_sorted, a=a_col, pressure=p_col, pressure_ideal=pid_col,
                        eta=p_col / pid_col)

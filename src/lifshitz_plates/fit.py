@@ -8,8 +8,7 @@ tried lies in the parameter domain and inside the feasibility bound
 2 h (1 - f) < min(d), so every gap a = d - 2 h (1 - f) is positive.  Each
 Jacobian differences the engine's planned evaluation on the plan of the
 point's full sweep, a smooth function of (h, f); that sweep also gives its
-value at the point, and sizes its first Matsubara blocks from the plan of the
-point it steps from.  A second run from a fixed start escapes the basin near
+value at the point.  A second run from a fixed start escapes the basin near
 f -> 0, where the layer acts almost like vacuum; each run has its own
 evaluation budget.  Where the process may fork, may use two CPUs and runs
 one Python thread, that run goes to a forked child while the first runs
@@ -216,7 +215,8 @@ def residuals(
 def _evaluate(h, f, data, material, temperature, settings, plan=None, gather=False):
     """(:func:`residuals`, the sweep's plan); given a ``plan``, the residuals
     of the engine's planned evaluation on it instead, and that plan.  With
-    ``gather`` as in ``_sweep``, the planned evaluation's residuals third."""
+    ``gather``, third the planned evaluation's residuals on the plan returned
+    (see ``_sweep``): a fit gathers on each full sweep."""
     if not data:
         raise ValueError("no measurements")
     settings = _settings_at(temperature, settings)
@@ -317,11 +317,11 @@ def fit_roughness(
         """LM from ``x``: (run, evaluations); run is None if it raised one of ``dropped``."""
         count = 0
 
-        def evaluate(y, plan=None, gather=False):
+        def evaluate(y, plan=None):
             nonlocal count
             count += 1
             return _evaluate(y[0] * h_scale, y[1], data, material, temperature, settings,
-                             plan, gather)
+                             plan, plan is None)
 
         try:
             return _levenberg_marquardt(evaluate, x, project, noise, step,
@@ -426,9 +426,10 @@ def _jacobian(evaluate, x, plan, base, project, step):
 
 def _levenberg_marquardt(evaluate, x, project, noise, step, budget):
     """Projected Levenberg-Marquardt from the feasible ``x``; returns
-    (x, chi2, J, converged, r), with r the residuals at x.  ``evaluate(y, plan,
-    True)`` gives the residuals at y from a sweep sized from ``plan``, its plan,
-    and the planned residuals on it, F(y), from which :func:`_jacobian` forms J.
+    (x, chi2, J, converged, r), with r the residuals at x.  ``evaluate(y)``
+    gives the residuals at y from a full sweep, its plan, and the planned
+    residuals on it, F(y), from which :func:`_jacobian` forms J;
+    ``evaluate(y, plan)`` gives the planned residuals on ``plan`` and that plan.
 
     Errors at ``x`` propagate; a trial whose residual or Jacobian raises an
     engine error is rejected.  A trial costs one evaluation, and an accepted
@@ -440,7 +441,7 @@ def _levenberg_marquardt(evaluate, x, project, noise, step, budget):
     the relative truncation error of the forward differences and noise / step
     their rounding error.
     """
-    r, plan, base = evaluate(x, None, True)
+    r, plan, base = evaluate(x)
     jac = _jacobian(evaluate, x, plan, base, project, step)
     lam = _LAMBDA_START
     while lam <= _LAMBDA_MAX:
@@ -463,10 +464,10 @@ def _levenberg_marquardt(evaluate, x, project, noise, step, budget):
         if budget() < 3:
             break
         try:
-            r_trial, trial_plan, base = evaluate(trial, plan, True)
+            r_trial, plan, base = evaluate(trial)
             if r_trial @ r_trial < chi2:
-                jac = _jacobian(evaluate, trial, trial_plan, base, project, step)
-                x, r, plan = trial, r_trial, trial_plan
+                jac = _jacobian(evaluate, trial, plan, base, project, step)
+                x, r = trial, r_trial
                 lam /= 10.0
                 continue
         except _ENGINE_ERRORS:

@@ -108,7 +108,7 @@ def fit_evaluations(monkeypatch):
 
     def recording(plate, d_values, settings, plan=None, gather=False):
         point = (plate.layer_thickness, plate.fill_factor)
-        full = plan is None or gather
+        full = plan is None
         record.append("sweep" if full else
                       "column" if made_at[id(plan)][1] != point else "reference")
         if record.refuse:

@@ -410,7 +410,8 @@ def test_eta_sweep_later_waves_match_single_gap_pressure(monkeypatch, rough_plat
 
 
 def test_sweep_kernel_call_counts(monkeypatch, rough_plate, settings300):
-    """A 30-point 300 K rough-plate sweep shares its kernel calls between gaps."""
+    """A 30-point 300 K rough-plate sweep shares its kernel calls between gaps:
+    its 1,480 rows take 19 reflection passes."""
     calls = {"_reflection": 0, "_static_reflection": 0}
     for name in calls:
         original = getattr(engine, name)
@@ -421,8 +422,22 @@ def test_sweep_kernel_call_counts(monkeypatch, rough_plate, settings300):
 
         monkeypatch.setattr(engine, name, counted)
     eta_sweep(rough_plate, np.linspace(162e-9, 746e-9, 30), settings300)
-    assert calls["_reflection"] <= 26
+    assert calls["_reflection"] <= 19
     assert calls["_static_reflection"] == 1
+
+
+@pytest.mark.parametrize("grid", ["submicron", "wide"])
+@pytest.mark.parametrize("plate_name", ["perfect_stack", "drude_stack", "plasma_stack",
+                                        "rough_plate"])
+def test_benchmark_sweeps_finish_in_one_wave(monkeypatch, request, plate_name, grid, settings300):
+    """At 300 K every gap's first block, ceil(1.2 ln(1/sum_rel_tol) / x_1)
+    + consecutive_small_terms + 1 terms, holds its stopping streak, so each
+    benchmark plate's sweep on 162-746 nm and on 0.1-5 um takes one wave."""
+    waves = []
+    original = engine._wave_terms
+    monkeypatch.setattr(engine, "_wave_terms", lambda *args: waves.append(args) or original(*args))
+    eta_sweep(request.getfixturevalue(plate_name), BENCHMARK_GRIDS[grid], settings300)
+    assert len(waves) == 1
 
 
 def test_missed_block_refines_both_levels(kernel_calls, rough_plate):
@@ -659,50 +674,6 @@ def test_gathered_gauss_value_is_the_planned_evaluation(request, plate_name, set
                 [[r.edges.tolist() for r in rules] for rules in plain_plan]
         else:
             assert [p.tolist() for p in plan] == [p.tolist() for p in plain_plan]
-
-
-@pytest.mark.parametrize("grid", ["submicron", "30-100nm"])
-@pytest.mark.parametrize("temperature", [300.0, 77.0])
-def test_a_sweep_sized_from_a_prior_plan_changes_no_bits(monkeypatch, rough_plate, temperature,
-                                                         grid):
-    """A full sweep whose first blocks are sized from the plan of the same
-    point, of h -+ 1 nm, or of larger gaps (fewer rows: its heads fall short
-    and the rest of each first block follows in a later wave, on the rule its
-    head was accepted on) gives the unsized sweep's eta bytes and plan, and
-    integrates no more rows."""
-    settings = EvaluationSettings(temperature=temperature)
-    d = _shifted_to_gaps(rough_plate, GATHER_GRIDS[grid])
-    rows, waves = [], []
-    pol_integrals, wave_terms = engine._pol_integrals, engine._wave_terms
-
-    def counted(stack, a, xi, rule, **kwargs):
-        out = pol_integrals(stack, a, xi, rule, **kwargs)
-        rows.append(len(out[0]))
-        return out
-
-    monkeypatch.setattr(engine, "_pol_integrals", counted)
-    monkeypatch.setattr(engine, "_wave_terms", lambda *args: waves.append(args) or wave_terms(*args))
-
-    def plate_at(h):
-        return build_rough_plate(GOLD_WP, GOLD_GAMMA, h, 0.9)
-
-    priors = {"same point": engine._sweep(rough_plate, d, settings)[1],
-              "h - 1 nm": engine._sweep(plate_at(10e-9), d, settings)[1],
-              "h + 1 nm": engine._sweep(plate_at(12e-9), d, settings)[1],
-              "fewer rows": engine._sweep(rough_plate, 1.5 * d, settings)[1]}
-    rows.clear(), waves.clear()
-    unsized, plan, _ = engine._sweep(rough_plate, d, settings, None, True)
-    unsized_rows, unsized_waves = sum(rows), len(waves)
-    assert any(len(p) > len(q) for p, q in zip(plan, priors["fewer rows"]))
-    for name, prior in priors.items():
-        rows.clear(), waves.clear()
-        table, sized_plan, _ = engine._sweep(rough_plate, d, settings, prior, True)
-        assert table.eta.tobytes() == unsized.eta.tobytes(), name
-        assert table.pressure.tobytes() == unsized.pressure.tobytes(), name
-        assert [p.tolist() for p in sized_plan] == [p.tolist() for p in plan], name
-        assert sum(rows) <= unsized_rows, name
-        if name == "fewer rows":
-            assert len(waves) > unsized_waves
 
 
 @pytest.mark.parametrize("zero_temperature", [False, True])

@@ -592,12 +592,12 @@ def test_planned_jacobian_matches_the_full_sweep_differences(acceptance_data, go
     full sweeps, each column within 1e-6 of its norm."""
     settings, h_scale, step = EvaluationSettings(), 1e-8, math.sqrt(1e-9)
 
-    def evaluate(y, plan=None, gather=False):
+    def evaluate(y, plan=None):
         return fit_module._evaluate(y[0] * h_scale, y[1], acceptance_data, gold, 300.0,
-                                    settings, plan, gather)
+                                    settings, plan, plan is None)
 
     x = np.array([start[0] / h_scale, start[1]])
-    r, plan, base = evaluate(x, None, True)
+    r, plan, base = evaluate(x)
     jac = fit_module._jacobian(evaluate, x, plan, base, lambda y: y, step)
     for i in range(2):
         y = x.copy()
