@@ -22,8 +22,8 @@ _integrate, the only code that turns (gap, xi, level) rows into kernel calls
 (_pol_integrals at xi > 0, _pol_integrals_zero at xi = 0, both feeding
 _panel_sums), serves the waves and the planned evaluation of fits.  At T = 0
 the frequency sum becomes an integral, which _t0_sums evaluates on one tensor
-rule in u and t = 2 a xi / (c u).  An independent integration route in the
-raw k variable (scipy QUADPACK) runs through the same waves as a cross-check.
+rule in u and t = 2 a xi / (c u).  As a cross-check, pressure can integrate
+the rows a gap's sum planned in the raw k variable instead (scipy QUADPACK).
 
 Sign convention: the returned pressure is the positive magnitude of the
 attraction, so the reduction factor P / P_id matches the usual plots.
@@ -320,7 +320,7 @@ def _block_terms_scaled(stack, a, ls, temperature, quad_rel_tol, scale_hint):
 
 
 def _kperp_term(stack, a, l, temperature, quad_rel_tol):
-    """One Matsubara term integrated in the raw k variable (QUADPACK).
+    """(te, tm) of one Matsubara term integrated in the raw k variable (QUADPACK).
 
     Slow independent route kept as an internal oracle for the scaled-variable
     quadrature.
@@ -344,11 +344,10 @@ def _kperp_term(stack, a, l, temperature, quad_rel_tol):
                                 epsrel=quad_rel_tol, limit=200)
         # account for dk = dt/(2a) and the scaled-variable normalization 8 a^3
         out.append(4.0 * a**2 * val)
-    return np.array([out[0]]), np.array([out[1]])
+    return out[0], out[1]
 
 
-def _finite_t_pressures(stack, a: np.ndarray, settings: EvaluationSettings,
-                        integration_variable: str = "u", gather=False):
+def _finite_t_pressures(stack, a: np.ndarray, settings: EvaluationSettings, gather=False):
     """Pressures at the ascending gaps ``a``, every primed Matsubara sum run in the
     same waves; their plan: per gap, the rule level of each row l = 0..L it summed;
     and with ``gather`` the planned pressures on it from the waves' own
@@ -357,23 +356,13 @@ def _finite_t_pressures(stack, a: np.ndarray, settings: EvaluationSettings,
     Gap i starts with a block of min(l_max + 1, ceil(_DECAY_SAFETY
     ln(1/sum_rel_tol) / x_1) + consecutive_small_terms + 1) terms, with
     x_1 = 2 a_i xi_1 / c the decay rate of its terms; each later block is
-    max(8, previous // 4) terms.  A wave integrates the current block of
-    every unfinished gap together, then runs each gap's stopping rule: after
-    l = 0 (weight one half), ``consecutive_small_terms`` terms in a row each
-    below ``sum_rel_tol`` times the running sum.  When gaps fail, the error of
-    the smallest failing gap is raised and the gaps above it are dropped.
+    max(8, previous // 4) terms.  A wave, one :func:`_wave_terms` call in u,
+    integrates the current block of every unfinished gap, then runs each gap's
+    stopping rule: after l = 0 (weight one half), ``consecutive_small_terms``
+    terms in a row each below ``sum_rel_tol`` times the running sum.  When gaps
+    fail, the error of the smallest failing gap is raised, the gaps above it dropped.
     """
     temperature, tol = settings.temperature, settings.quad_rel_tol
-    if integration_variable == "u":
-        def wave(gaps, blocks, hints):
-            return _wave_terms(stack, a[gaps], blocks, temperature, tol, hints, gather)
-    else:
-        def wave(gaps, blocks, hints):
-            # one QUADPACK integral per row and polarization; no rule levels
-            return ([np.hstack([_kperp_term(stack, float(a[i]), int(l), temperature, tol)
-                                for l in ls]) for i, ls in zip(gaps, blocks)],
-                    [np.zeros(len(ls), dtype=int) for ls in blocks])
-
     l_max, need = settings.l_max, settings.consecutive_small_terms
     x1 = (2.0 * matsubara_frequency(1, temperature) / CONSTANTS.c) * a
     size = np.minimum(l_max + 1, np.ceil(_DECAY_SAFETY * math.log(1.0 / settings.sum_rel_tol) / x1)
@@ -388,7 +377,8 @@ def _finite_t_pressures(stack, a: np.ndarray, settings: EvaluationSettings,
         blocks = [np.arange(start[i], min(start[i] + size[i], l_max + 1)) for i in active]
         hints = [total[i] for i in active]
         unfinished = []
-        for i, ls, terms, levels in zip(active, blocks, *wave(active, blocks, hints)):
+        waves = _wave_terms(stack, a[active], blocks, temperature, tol, hints, gather)
+        for i, ls, terms, levels in zip(active, blocks, *waves):
             if isinstance(terms, Exception):
                 failures[i] = terms
                 continue
@@ -460,6 +450,8 @@ def pressure(
     ``integration_variable`` selects the transverse-momentum integration
     route: the scaled variable ``"u"`` (default, vectorized) or the raw
     ``"kperp"`` (QUADPACK; slow, an independent cross-check at T > 0 only).
+    The kperp route integrates the rows l = 0..L that the u route summed, so
+    only each term's k integral is independent; L and its errors are shared.
     """
     settings = settings or EvaluationSettings()
     _check_gap(a)
@@ -469,9 +461,13 @@ def pressure(
         if integration_variable == "kperp":
             raise ValueError("integration_variable 'kperp' has no zero-temperature route")
         return pressure_zero_temperature(plate, a, settings)
-    pressures, *_ = _finite_t_pressures(as_layer_stack(plate), np.array([a], dtype=float),
-                                        settings, integration_variable)
-    return float(pressures[0])
+    stack = as_layer_stack(plate)
+    pressures, (plan,), _ = _finite_t_pressures(stack, np.array([a], dtype=float), settings)
+    if integration_variable == "u":
+        return float(pressures[0])
+    terms = [sum(_kperp_term(stack, a, l, settings.temperature, settings.quad_rel_tol))
+             for l in range(len(plan))]  # te + tm of each row the u route summed
+    return _pressure_prefactor(a, settings.temperature) * sum(terms[1:], 0.5 * terms[0])
 
 
 def matsubara_pressure_term(
@@ -612,6 +608,8 @@ def _sweep(plate: Plate, d_values, settings: EvaluationSettings | None, plan=Non
         p_col, plan = ([point[k] for point in points] for k in range(2))
         gauss = [_t0_pressure(stack, a, settings.quad_rel_tol, rules)[0]
                  for a, rules in zip(a_col, plan)] if gather else None
+    elif not len(a_col):  # an empty grid: no Matsubara sum to run
+        p_col, plan, gauss = [], [], []
     elif plan is None:
         p_col, plan, gauss = _finite_t_pressures(stack, a_col, settings, gather=gather)
     else:

@@ -109,7 +109,7 @@ def test_criterion_03_drude_zero_frequency_te(drude_stack, settings300):
     term = matsubara_pressure_term(drude_stack, 200e-9, 0, settings300)
     te_kperp, tm_kperp = _kperp_term(as_layer_stack(drude_stack), 200e-9, 0,
                                      settings300.temperature, settings300.quad_rel_tol)
-    ok = term.te == 0.0 and te_kperp[0] == 0.0 and term.tm > 0.0 and tm_kperp[0] > 0.0
+    ok = term.te == 0.0 and te_kperp == 0.0 and term.tm > 0.0 and tm_kperp > 0.0
     assert _verdict(3, ok, f"l=0 TE term = {term.te!r} (exact zero), TM term {term.tm:.3e} Pa")
 
 

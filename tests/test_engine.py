@@ -127,6 +127,28 @@ def test_two_layer_zero_frequency_te_term_is_partial(rough_plate, plasma_stack, 
     assert 0.0 < rough_te < plasma_te
 
 
+@pytest.mark.parametrize("h, f", [(11e-9, 0.9), (5e-9, 0.5), (30e-9, 0.95)])
+def test_rough_zero_frequency_te_term_approaches_its_layer_asymptote(h, f):
+    """At xi = 0 the Drude bulk is transparent to TE, so a rough plate's l = 0
+    TE term is that of its plasma layer alone: with Omega = 2 a omega_p sqrt(f) / c
+    and kappa = 2 omega_p sqrt(f) h / c, r -> -1 + 2 u coth(kappa/2) / Omega as
+    a -> oo, and the u integral tends to 2 zeta(3) (1 - 12 coth(kappa/2) / Omega)
+    + O(Omega^-2).  The residual times Omega^2 must level off between 10 and
+    30 um: a slip in the layer's static limit leaves an O(1/Omega) residual."""
+    plate = build_rough_plate(GOLD_WP, GOLD_GAMMA, h, f)
+    settings = EvaluationSettings(temperature=300.0, quad_rel_tol=1e-12)
+    omega_p = GOLD_WP * math.sqrt(f)
+    kappa = 2.0 * omega_p * h / CONSTANTS.c
+    scaled = []
+    for a in (10e-6, 30e-6):
+        weight = 0.5 * CONSTANTS.k_B * settings.temperature / (8.0 * math.pi * a**3)
+        integral = matsubara_pressure_term(plate, a, 0, settings).te / weight
+        omega = 2.0 * a * omega_p / CONSTANTS.c
+        asymptote = 2.0 * zeta(3) * (1.0 - 12.0 / (math.tanh(0.5 * kappa) * omega))
+        scaled.append((integral / asymptote - 1.0) * omega**2)
+    assert scaled[0] == pytest.approx(scaled[1], rel=0.02)
+
+
 def test_degenerate_two_layer_equals_drude(drude_stack, settings300):
     plate = build_rough_plate(GOLD_WP, GOLD_GAMMA, 0.0, 0.9)
     a = 200e-9
@@ -252,9 +274,15 @@ def test_eta_sweep_perfect_reflector_is_unity(perfect_stack):
 
 @pytest.mark.parametrize("zero_temperature", [False, True])
 def test_eta_sweep_of_an_empty_grid_is_an_empty_table(rough_plate, zero_temperature):
-    table = eta_sweep(rough_plate, [], EvaluationSettings(zero_temperature=zero_temperature))
-    for column in (table.d, table.a, table.pressure, table.pressure_ideal, table.eta):
-        assert column.shape == (0,)
+    settings = EvaluationSettings(zero_temperature=zero_temperature)
+    # besides the plain sweep, a fit's two modes: the full sweep gathering its
+    # planned eta, and the planned evaluation on a given (here empty) plan
+    gathered, plan, gauss_eta = engine._sweep(rough_plate, [], settings, None, True)
+    planned, planned_plan = engine._sweep(rough_plate, [], settings, [])
+    assert len(plan) == len(planned_plan) == 0 and gauss_eta.shape == (0,)
+    for table in (eta_sweep(rough_plate, [], settings), gathered, planned):
+        for column in (table.d, table.a, table.pressure, table.pressure_ideal, table.eta):
+            assert column.shape == (0,)
 
 
 def test_eta_sweep_columns_and_order(rough_plate, settings300):
