@@ -66,13 +66,15 @@ class PanelRule:
     ``weights`` has two columns, so one product ``f(lo + nodes) @ weights``
     gives the integral of f over [lo, lo + edges[-1]] and the signed
     Kronrod-Gauss difference, whose magnitude is the error estimate.
-    ``decay`` is exp(-nodes).
+    ``decay`` is exp(-nodes).  ``gauss_only`` marks an embedded Gauss rule
+    alone (see :meth:`from_edges`).
     """
 
     edges: np.ndarray
     nodes: np.ndarray
     weights: np.ndarray
     decay: np.ndarray
+    gauss_only: bool = False
 
     @classmethod
     def from_edges(cls, edges: np.ndarray, gauss_only: bool = False) -> "PanelRule":
@@ -85,7 +87,7 @@ class PanelRule:
         gauss = (half[:, None] * _GAUSS_W[None, keep]).ravel()
         weights = gauss if gauss_only else (half[:, None] * _KRONROD_W[None, :]).ravel()
         return cls(edges=edges, nodes=nodes, weights=np.column_stack([weights, weights - gauss]),
-                   decay=np.exp(-nodes))
+                   decay=np.exp(-nodes), gauss_only=gauss_only)
 
     def refined(self) -> "PanelRule":
         """Rule with every panel split in half."""
@@ -104,5 +106,10 @@ class PanelRule:
 
 
 DEFAULT_RULE = PanelRule.from_edges(DEFAULT_EDGES)
-# DEFAULT_RULE one level coarser: every other edge, the last edge kept
-COARSE_RULE = PanelRule.from_edges(np.append(DEFAULT_EDGES[:-1:2], DEFAULT_EDGES[-1]))
+# Start rules below DEFAULT_RULE, by level, for rows whose integral starts at
+# u0 far enough out that the fine head panels are not needed.  The edges of
+# each are a subset of the next finer rule's.  Level -3 stops at offset 31.5:
+# it serves u0 > 16, where u^2 exp(-u) < 6e-18 beyond u0 + 31.5.
+START_EDGES = {-1: np.array([0.0, 1.5, 3.5, 7.5, 15.5, 31.5, 60.0]),
+               -2: np.array([0.0, 1.5, 7.5, 15.5, 31.5, 60.0]),
+               -3: np.array([0.0, 7.5, 31.5])}

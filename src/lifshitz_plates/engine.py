@@ -13,7 +13,8 @@ kernel call integrates a block of (gap, xi) rows in single vectorized
 operations, fed to the reflection pass as they are.  The terms fall like
 exp(-l x_1), x_1 = 2 a xi_1 / c, so each gap of every sweep, a fit's included,
 sums a first block sized from that decay rate, then blocks a quarter as long;
-terms beyond u = 16 start coarser.
+terms whose u integral starts beyond u0 = 2 go on nested start rules, the
+coarser the larger u0, and move to the default rule if their block refines.
 All gaps of a sweep are summed together in waves: one wave integrates the
 current block of every unfinished gap, the xi = 0 rows of all gaps in one
 call, and then runs each gap's stopping rule.  A wave is one _wave_terms
@@ -39,7 +40,7 @@ from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
-from ._quad import COARSE_RULE, DEFAULT_RULE, PanelRule
+from ._quad import DEFAULT_RULE, START_EDGES, PanelRule
 from .constants import CONSTANTS
 from .materials import RoughPlateSpec
 from .stack import LayerStack, _reflection, _static_reflection, as_layer_stack
@@ -77,9 +78,11 @@ _MAX_REFINEMENTS = 6
 _BLOCK = 64           # rows per kernel call, more of a coarser rule
 # a gap's first block holds this many times ln(1/sum_rel_tol)/x_1 terms
 _DECAY_SAFETY = 1.2
-# a term whose u integral starts beyond u0 = 2 a xi / c = 16, at most about
-# exp(-16) of its gap's leading terms, starts one level coarser (60 nodes)
-_COARSE_FROM = 16.0
+# a term whose u integral starts beyond u0 = 2 a xi / c = 2, 8 or 16, at most
+# about exp(-u0) of its gap's leading terms, starts on the rule of level -1,
+# -2 or -3 (90, 75 or 30 nodes); each threshold is raised by
+# ln(1e-9 / quad_rel_tol) at tighter tolerances
+_START_FROM = np.array([2.0, 8.0, 16.0])
 
 # T = 0 rules in u = 2 a q and t = 2 a xi / (c u) = xi / (c q), Lifshitz's 1/p.
 # u on the default ladder, its first panel split at 0.1 for the u^3 weight;
@@ -207,6 +210,8 @@ def _panel_sums(U2, u0, rule: PanelRule, r, gather=False):
     (``U2`` = u^2) with a leading [TE, TM] axis.  Returns (I_te, I_tm, err);
     err is the Kronrod-Gauss error estimate summed over both polarizations;
     with ``gather`` then I_te + I_tm on ``rule.gauss``, bit for bit, from the same f.
+    Sums on a Gauss rule, gathered or ``rule.gauss_only``, are formed row by
+    row, so their last bit does not depend on which rows share the call.
     """
     # in place: one (2, rows, nodes) temporary fewer per step keeps the
     # blocks from trimming and regrowing the heap on every call
@@ -214,10 +219,11 @@ def _panel_sums(U2, u0, rule: PanelRule, r, gather=False):
     g *= np.exp(-u0) * rule.decay
     f = U2 * g
     f /= 1.0 - g
-    sums = f @ rule.weights
+    sums = (f[..., None, :] @ rule.weights)[..., 0, :] if rule.gauss_only else f @ rule.weights
     out = sums[0, :, 0], sums[1, :, 0], np.abs(sums[..., 1]).sum(axis=0)
     if gather:  # contiguous: a strided operand takes another matmul path, another last bit
-        te, tm = (np.ascontiguousarray(f[..., rule.gauss_index]) @ rule.gauss.weights)[..., 0]
+        f = np.ascontiguousarray(f[..., rule.gauss_index])
+        te, tm = (f[..., None, :] @ rule.gauss.weights)[..., 0, 0]
         out += (te + tm,)
     return out
 
@@ -246,21 +252,26 @@ def _pol_integrals_zero(stack: LayerStack, a, rule: PanelRule, gather=False):
 
 @functools.lru_cache(maxsize=None)
 def _rule(level: int) -> PanelRule:
-    """``COARSE_RULE`` at level -1, else ``DEFAULT_RULE`` refined ``level`` times."""
-    return (COARSE_RULE, DEFAULT_RULE)[level + 1] if level < 1 else _rule(level - 1).refined()
+    """The start rule on ``START_EDGES[level]`` at levels -3..-1, ``DEFAULT_RULE``
+    at 0, else ``DEFAULT_RULE`` refined ``level`` times; each built once."""
+    if level < 0:
+        return PanelRule.from_edges(START_EDGES[level])
+    return DEFAULT_RULE if level == 0 else _rule(level - 1).refined()
 
 
 def _integrate(stack, rows_a, xi, levels, gauss_only=False, gather=False):
     """(I_te, I_tm, err) of rows j at gap ``rows_a[j]`` and ``xi[j]`` on the rule of
     ``levels[j]``, or with ``gauss_only`` its embedded Gauss rule, as a (3, rows)
     array, with ``gather`` (4, rows) (see :func:`_panel_sums`).  Kernel calls go
-    by level, ascending, xi = 0 rows before xi > 0 rows, ``_BLOCK`` rows a call
+    by level from -3 up, xi = 0 rows before xi > 0 rows, ``_BLOCK`` rows a call
     or as many as hold ``_BLOCK`` default-rule rows' nodes."""
     values = np.empty((3 + gather, len(xi)))
-    for level, positive in sorted(set(zip(levels.tolist(), (xi > 0.0).tolist()))):
+    key = 2 * (levels + 3) + (xi > 0.0)  # one group per (level, xi > 0), in call order
+    for group in np.flatnonzero(np.bincount(key)).tolist():
+        level, positive = group // 2 - 3, group % 2
         rule = _rule(level).gauss if gauss_only else _rule(level)
         step = max(_BLOCK, _BLOCK * len(DEFAULT_RULE.nodes) // len(rule.nodes))
-        i = np.flatnonzero((levels == level) & ((xi > 0.0) == positive))
+        i = np.flatnonzero(key == group)
         for start in range(0, len(i), step):
             j = i[start:start + step]
             values[:, j] = (_pol_integrals(stack, rows_a[j], xi[j], rule, gather=gather)
@@ -273,12 +284,14 @@ def _wave_terms(stack, a, blocks, temperature, quad_rel_tol, hints, gather=False
     """Pressure-sum integrands [te, tm] of one block of Matsubara indices per gap.
 
     ``blocks[i]`` holds ascending indices for gap ``a[i]``.  Each row starts at
-    a rule level (see :func:`_rule`): 0, or -1 beyond u0 = 2 a xi / c =
-    ``_COARSE_FROM``.  A pass integrates its rows in the kernel calls of
+    a rule level (see :func:`_rule`): -k once u0 = 2 a xi / c exceeds the k-th
+    of ``_START_FROM``, each raised by max(0, ln(1e-9 / ``quad_rel_tol``)),
+    else 0.  A pass integrates its rows in the kernel calls of
     :func:`_integrate`.  Block i is accepted when its summed Kronrod-Gauss
     estimate is <= 0.25 ``quad_rel_tol`` max(|hints[i]|, |te + tm over the
-    block|); the rows of the blocks that miss it go up one level for the next
-    pass, at most ``_MAX_REFINEMENTS`` times.  Returns per block its [te, tm] array, with
+    block|); the rows of the blocks that miss it go to the next pass, those on
+    a start rule at level 0 and the others one level up, at most
+    ``_MAX_REFINEMENTS`` times.  Returns per block its [te, tm] array, with
     ``gather`` a third row te + tm on the Gauss siblings of the rules, or the
     ``QuadratureBudgetError`` of a block still above its target; and per block
     its rows' levels, each that of the rule the row was accepted on.
@@ -287,7 +300,8 @@ def _wave_terms(stack, a, blocks, temperature, quad_rel_tol, hints, gather=False
     edges = np.cumsum([0] + sizes)
     xi = matsubara_frequency(np.concatenate(blocks), temperature)
     rows_a = np.repeat(a, sizes)
-    levels = np.where((2.0 * rows_a / CONSTANTS.c) * xi > _COARSE_FROM, -1, 0)
+    shift = max(0.0, math.log(1e-9 / quad_rel_tol))
+    levels = -np.searchsorted(_START_FROM + shift, (2.0 * rows_a / CONSTANTS.c) * xi)
     values = np.empty((3 + gather, len(xi)))
     rows = np.arange(len(xi))
     for _ in range(_MAX_REFINEMENTS + 1):
@@ -299,7 +313,7 @@ def _wave_terms(stack, a, blocks, temperature, quad_rel_tol, hints, gather=False
         if not missed.any():
             break
         rows = np.flatnonzero(np.repeat(missed, sizes))
-        levels[rows] += 1
+        levels[rows] = np.maximum(levels[rows], -1) + 1
     out = np.split(values[[0, 1, 3]] if gather else values[:2], edges[1:-1], axis=1)
     for i in np.flatnonzero(missed):
         ends = blocks[i][[0, -1]]

@@ -439,7 +439,7 @@ def test_eta_sweep_later_waves_match_single_gap_pressure(monkeypatch, rough_plat
 
 def test_sweep_kernel_call_counts(monkeypatch, rough_plate, settings300):
     """A 30-point 300 K rough-plate sweep shares its kernel calls between gaps:
-    its 1,480 rows take 19 reflection passes."""
+    its 1,480 rows take 15 reflection passes."""
     calls = {"_reflection": 0, "_static_reflection": 0}
     for name in calls:
         original = getattr(engine, name)
@@ -450,7 +450,7 @@ def test_sweep_kernel_call_counts(monkeypatch, rough_plate, settings300):
 
         monkeypatch.setattr(engine, name, counted)
     eta_sweep(rough_plate, np.linspace(162e-9, 746e-9, 30), settings300)
-    assert calls["_reflection"] <= 19
+    assert calls["_reflection"] <= 15
     assert calls["_static_reflection"] == 1
 
 
@@ -469,23 +469,45 @@ def test_benchmark_sweeps_finish_in_one_wave(monkeypatch, request, plate_name, g
 
 
 def test_missed_block_refines_both_levels(kernel_calls, rough_plate):
-    """A block whose tail rows (u0 > 16) start on the coarse rule misses a
-    1e-14 target: its coarse rows move to the default rule while the others
-    move to the refined one, in the same pass.  Each level's rows fit one
-    kernel call."""
+    """A block whose far rows start on the start rules of levels -2 and -1
+    (at 1e-14 from u0 = 13.5 on) misses its target: in the same pass its
+    start-rule rows move to the default rule while its level-0 rows move to
+    the refined one.  Each level's rows fit one kernel call."""
     ls = np.arange(1, 100)
-    assert 2.0 * 162e-9 * matsubara_frequency(ls[-1], 300.0) / CONSTANTS.c > engine._COARSE_FROM
+    u0 = 2.0 * 162e-9 * matsubara_frequency(ls, 300.0) / CONSTANTS.c
+    shift = math.log(1e-9 / 1e-14)
+    assert u0[-1] > engine._START_FROM[1] + shift and u0[0] < engine._START_FROM[0] + shift
     engine._wave_terms(as_layer_stack(rough_plate), np.array([162e-9]), [ls], 300.0, 1e-14, [0.0])
-    assert [nodes for _, _, nodes in kernel_calls[:4]] == [60, 105, 105, 210]
+    assert [nodes for _, _, nodes in kernel_calls[:5]] == [75, 90, 105, 105, 210]
+
+
+def _row_nodes(kernel_calls):
+    return sum(rows * nodes for _, rows, nodes in kernel_calls)
 
 
 def test_sweep_work_budget(kernel_calls, rough_plate, settings300):
-    """A 30-point 300 K rough-plate sweep integrates at most 131,910 row-nodes:
-    the work of its first waves with the tail terms (u0 > 16) on the coarse
-    rule and no refinement, a count that does not drift with the machine.
-    With every row on the default rule it was 168,000."""
+    """A 30-point 300 K rough-plate sweep integrates at most 88,125 row-nodes:
+    the work of its first waves with the rows beyond u0 = 2 on the start
+    rules and no refinement, a count that does not drift with the machine.
+    With every row beyond u0 = 16 on one 60-node rule it was 124,710, and
+    with every row on the default rule 168,000."""
     eta_sweep(rough_plate, np.linspace(162e-9, 746e-9, 30), settings300)
-    assert sum(rows * nodes for _, rows, nodes in kernel_calls) <= 131_910
+    assert _row_nodes(kernel_calls) <= 88_125
+
+
+@pytest.mark.parametrize("d, settings, budget", [
+    (np.linspace(162e-9, 746e-9, 30), EvaluationSettings(temperature=300.0, quad_rel_tol=1e-12),
+     315_495),
+    (np.linspace(30e-9, 100e-9, 15), EvaluationSettings(temperature=77.0), 6_551_940)],
+    ids=["1e-12", "77K-30-100nm"])
+def test_refining_sweep_work_budget(kernel_calls, rough_plate, d, settings, budget):
+    """Rough-plate sweeps that refine, at a tight tolerance or at small gaps,
+    stay within their row-node budgets: the start rules' thresholds rise with
+    ln(1e-9 / quad_rel_tol), so a tight sweep does not pay for a first pass
+    that misses.  With one 60-node rule beyond u0 = 16 these took 363,900 and
+    9,278,700."""
+    eta_sweep(rough_plate, d, settings)
+    assert _row_nodes(kernel_calls) <= budget
 
 
 def _k_perp_route_integrals(stack, a, xi, rule):
@@ -526,8 +548,8 @@ def _k_perp_route_integrals(stack, a, xi, rule):
 def test_kernel_matches_k_perp_route(drude_stack, plasma_stack, rough_plate):
     """The kernel, fed the nodes u, gives the k_perp route's integrals on the
     default rule, for conductors, a plasma layer over a perfect mirror and a
-    dielectric layer; and on the coarse rule for rows with u0 > 16, where it
-    also agrees with the default rule."""
+    dielectric layer; and on each start rule for rows inside its u0 band,
+    where it also agrees with the default rule."""
     interband = Composite([Oscillator(ev_to_angular_frequency(6.0) ** 2,
                                       ev_to_angular_frequency(3.0), ev_to_angular_frequency(0.5))])
     stacks = [drude_stack, plasma_stack, as_layer_stack(rough_plate),
@@ -537,12 +559,16 @@ def test_kernel_matches_k_perp_route(drude_stack, plasma_stack, rough_plate):
     assert isinstance(stacks[3].substrate, Composite)
     a = np.array([100e-9, 162e-9, 162e-9, 500e-9, 2e-6, 2e-6])
     xi = matsubara_frequency(np.array([1, 2, 60, 7, 1, 25]), 300.0)
-    a_tail = np.array([162e-9, 500e-9, 2e-6])
-    xi_tail = matsubara_frequency(np.array([80, 40, 25]), 300.0)
-    assert np.all(2.0 * a_tail * xi_tail / CONSTANTS.c > engine._COARSE_FROM)
-    coarse = engine.COARSE_RULE
+    a_far = np.array([162e-9, 500e-9, 2e-6])
+    bands = {-1: [20, 5, 2], -2: [45, 15, 4], -3: [80, 40, 25]}  # l at each of a_far
+    far = {level: matsubara_frequency(np.array(ls), 300.0) for level, ls in bands.items()}
+    for level, xi_far in far.items():
+        u0 = 2.0 * a_far * xi_far / CONSTANTS.c
+        assert np.all(-np.searchsorted(engine._START_FROM, u0) == level)
     for stack in stacks:
-        for rows_a, rows_xi, rule in ((a, xi, engine.DEFAULT_RULE), (a_tail, xi_tail, coarse)):
+        for rows_a, rows_xi, rule in ((a, xi, engine.DEFAULT_RULE),
+                                      *((a_far, xi_far, engine._rule(level))
+                                        for level, xi_far in far.items())):
             te, tm, err = engine._pol_integrals(stack, rows_a, rows_xi, rule)
             for i in range(len(rows_a)):
                 ref_te, ref_tm, ref_err = _k_perp_route_integrals(stack, rows_a[i], rows_xi[i],
@@ -550,9 +576,10 @@ def test_kernel_matches_k_perp_route(drude_stack, plasma_stack, rough_plate):
                 assert abs(te[i] - ref_te) <= 1e-14 * ref_te
                 assert abs(tm[i] - ref_tm) <= 1e-14 * ref_tm
                 assert abs(err[i] - ref_err) <= 1e-14 * (ref_te + ref_tm)
-        coarse_sum = sum(engine._pol_integrals(stack, a_tail, xi_tail, coarse)[:2])
-        fine_sum = sum(engine._pol_integrals(stack, a_tail, xi_tail, engine.DEFAULT_RULE)[:2])
-        assert np.all(np.abs(coarse_sum - fine_sum) <= 1e-12 * fine_sum)
+        for level, xi_far in far.items():
+            start_sum = sum(engine._pol_integrals(stack, a_far, xi_far, engine._rule(level))[:2])
+            fine_sum = sum(engine._pol_integrals(stack, a_far, xi_far, engine.DEFAULT_RULE)[:2])
+            assert np.all(np.abs(start_sum - fine_sum) <= 1e-12 * fine_sum)
 
 
 def test_reflection_of_0d_inputs(drude_stack, rough_plate):
@@ -702,6 +729,26 @@ def test_gathered_gauss_value_is_the_planned_evaluation(request, plate_name, set
                 [[r.edges.tolist() for r in rules] for rules in plain_plan]
         else:
             assert [p.tolist() for p in plan] == [p.tolist() for p in plain_plan]
+
+
+@pytest.mark.parametrize("plate_name", ["drude_stack", "rough_plate"])
+def test_gauss_sums_of_a_row_do_not_depend_on_the_other_rows(request, plate_name):
+    """A row's sums on a Gauss rule are the same, bit for bit, whichever rows
+    share its kernel calls: here every third row of a 300 K plan on 30 nm-2 um,
+    which spans levels -3 to 1, against the same rows of the whole plan."""
+    plate = request.getfixturevalue(plate_name)
+    settings = EvaluationSettings(temperature=300.0)
+    table, plan = engine._sweep(plate, np.geomspace(30e-9, 2e-6, 15), settings)
+    levels = np.concatenate(plan)
+    assert set(range(-3, 2)) <= set(levels.tolist())
+    ls = np.concatenate([np.arange(len(p)) for p in plan])
+    rows_a = np.repeat(table.a, [len(p) for p in plan])
+    xi = matsubara_frequency(ls, settings.temperature)
+    stack = as_layer_stack(plate)
+    whole = engine._integrate(stack, rows_a, xi, levels, gauss_only=True)
+    some = np.arange(0, len(ls), 3)
+    part = engine._integrate(stack, rows_a[some], xi[some], levels[some], gauss_only=True)
+    assert part.tobytes() == whole[:, some].tobytes()
 
 
 @pytest.mark.parametrize("zero_temperature", [False, True])
