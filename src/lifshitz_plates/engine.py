@@ -75,6 +75,7 @@ def _pin_malloc_thresholds() -> None:
 _pin_malloc_thresholds()
 
 _MAX_REFINEMENTS = 6
+_TINY = np.finfo(float).tiny  # an integral passes at error <= tol max(|scale|, _TINY)
 _BLOCK = 64           # rows per kernel call, more of a coarser rule
 # a gap's first block holds this many times ln(1/sum_rel_tol)/x_1 terms
 _DECAY_SAFETY = 1.2
@@ -172,11 +173,11 @@ class SweepTable:
 
 
 def matsubara_frequency(l, temperature: float):
-    """xi_l = 2 pi k_B T l / hbar (rad/s); l may be an integer array."""
-    l_arr = np.asarray(l)
+    """xi_l = 2 pi k_B T l / hbar (rad/s); integer indices l, any size, are read as floats."""
+    l_arr = np.asarray(l, dtype=float)
     ok = (l_arr >= 0) & (l_arr < math.inf) & (np.floor(l_arr) == l_arr)
     if not ok.all():
-        raise ValueError(f"Matsubara index must be an integer >= 0, got {l_arr[~ok][0]}")
+        raise ValueError(f"Matsubara index must be an integer >= 0, got {l_arr[~ok][0]:g}")
     if not temperature > 0.0:
         raise ValueError("temperature must be > 0")
     xi = 2.0 * np.pi * CONSTANTS.k_B * temperature * l_arr / CONSTANTS.hbar
@@ -286,15 +287,15 @@ def _wave_terms(stack, a, blocks, temperature, quad_rel_tol, hints, gather=False
     ``blocks[i]`` holds ascending indices for gap ``a[i]``.  Each row starts at
     a rule level (see :func:`_rule`): -k once u0 = 2 a xi / c exceeds the k-th
     of ``_START_FROM``, each raised by max(0, ln(1e-9 / ``quad_rel_tol``)),
-    else 0.  A pass integrates its rows in the kernel calls of
-    :func:`_integrate`.  Block i is accepted when its summed Kronrod-Gauss
-    estimate is <= 0.25 ``quad_rel_tol`` max(|hints[i]|, |te + tm over the
-    block|); the rows of the blocks that miss it go to the next pass, those on
-    a start rule at level 0 and the others one level up, at most
-    ``_MAX_REFINEMENTS`` times.  Returns per block its [te, tm] array, with
-    ``gather`` a third row te + tm on the Gauss siblings of the rules, or the
-    ``QuadratureBudgetError`` of a block still above its target; and per block
-    its rows' levels, each that of the rule the row was accepted on.
+    else 0.  A pass integrates its rows in :func:`_integrate`.  Block i is
+    accepted when its summed Kronrod-Gauss estimate is <= 0.25 ``quad_rel_tol``
+    max(|hints[i]|, |te + tm over the block|, ``_TINY``): a zero or subnormal
+    block needs no case of its own.  The rows of the blocks that miss it go to
+    the next pass, those on a start rule at level 0 and the others one level
+    up, at most ``_MAX_REFINEMENTS`` times.  Returns per block its [te, tm]
+    array, with ``gather`` a third row te + tm on the Gauss siblings of the
+    rules, or the ``QuadratureBudgetError`` of a block still above its target;
+    and per block its rows' levels, each that of the rule the row was accepted on.
     """
     sizes = [len(b) for b in blocks]
     edges = np.cumsum([0] + sizes)
@@ -307,9 +308,9 @@ def _wave_terms(stack, a, blocks, temperature, quad_rel_tol, hints, gather=False
     for _ in range(_MAX_REFINEMENTS + 1):
         values[:, rows] = _integrate(stack, rows_a[rows], xi[rows], levels[rows], gather=gather)
         te, tm, estimate = np.add.reduceat(values[:3], edges[:-1], axis=1)
-        scale = np.maximum(np.abs(hints), np.abs(te + tm))
+        scale = np.maximum(np.maximum(np.abs(hints), np.abs(te + tm)), _TINY)
         target = 0.25 * quad_rel_tol * scale
-        missed = ~(estimate <= target) & (scale != 0.0)
+        missed = ~(estimate <= target)
         if not missed.any():
             break
         rows = np.flatnonzero(np.repeat(missed, sizes))
@@ -373,8 +374,8 @@ def _finite_t_pressures(stack, a: np.ndarray, settings: EvaluationSettings, gath
     max(8, previous // 4) terms.  A wave, one :func:`_wave_terms` call in u,
     integrates the current block of every unfinished gap, then runs each gap's
     stopping rule: after l = 0 (weight one half), ``consecutive_small_terms``
-    terms in a row each below ``sum_rel_tol`` times the running sum.  When gaps
-    fail, the error of the smallest failing gap is raised, the gaps above it dropped.
+    terms in a row, each at most ``sum_rel_tol`` |S|, S the running sum.  When
+    gaps fail, the smallest failing gap's error is raised, those above it dropped.
     """
     temperature, tol = settings.temperature, settings.quad_rel_tol
     l_max, need = settings.l_max, settings.consecutive_small_terms
@@ -401,7 +402,7 @@ def _finite_t_pressures(stack, a: np.ndarray, settings: EvaluationSettings, gath
                     total[i] += 0.5 * term
                     continue
                 total[i] += term
-                small = abs(term) < settings.sum_rel_tol * abs(total[i])
+                small = abs(term) <= settings.sum_rel_tol * abs(total[i])
                 streak[i] = streak[i] + 1 if small else 0
                 if streak[i] >= need:
                     break
@@ -540,10 +541,10 @@ def pressure_zero_temperature(
 
     with g = r^2 exp(-u) at xi = c u t / (2 a), integrated by :func:`_t0_sums`
     on the tensor rule ``_T0_U_RULE`` x ``_T0_T_RULE`` (120 x 165 open nodes).
-    It is accepted when the summed Kronrod-Gauss differences along both axes
-    are <= ``quad_rel_tol`` times its value; else every panel of the axis with
-    the larger part is split.  Raises :class:`QuadratureBudgetError`, naming
-    that axis, when it still misses after ``_MAX_REFINEMENTS`` splits.
+    It is accepted when the Kronrod-Gauss differences along both axes sum to
+    <= ``quad_rel_tol`` max(|value|, ``_TINY``); else every panel of the axis
+    with the larger part is split.  Raises :class:`QuadratureBudgetError`,
+    naming that axis, when it still misses after ``_MAX_REFINEMENTS`` splits.
     """
     settings = settings or EvaluationSettings()
     _check_gap(a)
@@ -560,13 +561,13 @@ def _t0_pressure(stack: LayerStack, a: float, tol: float, rules=None):
     for _ in range(_MAX_REFINEMENTS + 1):
         (val, err_t), (err_u, _) = _t0_sums(stack, a, *rules).tolist()
         parts = [abs(err_u), abs(err_t)]
-        if sum(parts) <= tol * abs(val) or val == 0.0:
+        if sum(parts) <= tol * max(abs(val), _TINY):
             return prefactor * val, rules
         axis = int(parts[1] > parts[0])
         rules[axis] = rules[axis].refined()
     raise QuadratureBudgetError(a, "T = 0 integral, larger estimate on the "
                                 + ("u = 2 a q", "t = 2 a xi / (c u)")[axis] + " axis",
-                                sum(parts), tol * abs(val))
+                                sum(parts), tol * max(abs(val), _TINY))
 
 
 def eta_sweep(

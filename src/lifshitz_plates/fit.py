@@ -209,17 +209,16 @@ def residuals(
     settings: EvaluationSettings | None = None,
 ) -> np.ndarray:
     """Weighted residuals (eta_model - eta_obs) / sigma, in the order of ``data``."""
-    return _evaluate(h, f, data, material, temperature, settings)[0]
+    if not data:
+        raise ValueError("no measurements")
+    return _evaluate(h, f, data, material, _settings_at(temperature, settings))[0]
 
 
-def _evaluate(h, f, data, material, temperature, settings, plan=None, gather=False):
+def _evaluate(h, f, data, material, settings, plan=None, gather=False):
     """(:func:`residuals`, the sweep's plan); given a ``plan``, the residuals
     of the engine's planned evaluation on it instead, and that plan.  With
     ``gather``, third the planned evaluation's residuals on the plan returned
     (see ``_sweep``): a fit gathers on each full sweep."""
-    if not data:
-        raise ValueError("no measurements")
-    settings = _settings_at(temperature, settings)
     plate = RoughPlateSpec(material, h, f)
     d, eta_obs, sigma = np.array([(m.d, m.eta, m.sigma) for m in data]).T
     table, plan, *gauss = _sweep(plate, d, settings, plan, gather)
@@ -320,8 +319,7 @@ def fit_roughness(
         def evaluate(y, plan=None):
             nonlocal count
             count += 1
-            return _evaluate(y[0] * h_scale, y[1], data, material, temperature, settings,
-                             plan, plan is None)
+            return _evaluate(y[0] * h_scale, y[1], data, material, settings, plan, plan is None)
 
         try:
             return _levenberg_marquardt(evaluate, x, project, noise, step,

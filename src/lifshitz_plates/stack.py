@@ -75,10 +75,7 @@ def as_layer_stack(plate: Union[RoughPlateSpec, LayerStack]) -> LayerStack:
     if isinstance(plate, LayerStack):
         return plate
     if isinstance(plate, RoughPlateSpec):
-        layers = ()
-        if plate.layer_thickness > 0.0:
-            layers = ((plate.surface, plate.layer_thickness),)
-        return LayerStack(layers=layers, substrate=plate.bulk)
+        return LayerStack(((plate.surface, plate.layer_thickness),), plate.bulk)
     raise TypeError(f"expected RoughPlateSpec or LayerStack, got {plate!r}")
 
 

@@ -64,6 +64,50 @@ def test_matsubara_index_must_be_an_integer(drude_stack, l):
     assert matsubara_frequency(2.0, 300.0) == matsubara_frequency(2, 300.0)
 
 
+def test_matsubara_index_beyond_int64(rough_plate):
+    """An index past the int64 range became a numpy object array, on which the
+    stack layer's square root failed with a TypeError; indices are floats, and
+    every int64 index keeps its xi bit for bit."""
+    assert matsubara_pressure_term(rough_plate, 1e-6, 10**20) == (0.0, 0.0)
+    assert matsubara_pressure_term(rough_plate, 1e-6, 2**60) == (0.0, 0.0)
+    ls = np.array([0, 1, 7, 2**53 + 1, 2**62 + 3, 2**63 - 1], dtype=np.int64)
+    xi = 2.0 * np.pi * CONSTANTS.k_B * 300.0 * ls / CONSTANTS.hbar
+    assert matsubara_frequency(ls, 300.0).tobytes() == xi.tobytes()
+    assert [matsubara_frequency(int(l), 300.0) for l in ls] == xi.tolist()
+
+
+TRANSPARENT = {"no-oscillator-strength": LayerStack((), Oscillator(0.0, 1e15, 0.0)),
+               "empty-composite": LayerStack((), Composite(()))}
+
+
+@pytest.mark.parametrize("temperature", [300.0, 77.0])
+@pytest.mark.parametrize("name", TRANSPARENT)
+def test_transparent_plates_have_exactly_zero_pressure(name, temperature):
+    """With eps = 1 every reflection coefficient is an exact 0, and so is every
+    term.  At T > 0 the stopping rule never counted a zero term as small, so
+    the sum raised MatsubaraTruncationError at l_max; now it stops after
+    ``consecutive_small_terms`` zero terms, and reads 0.0 as at T = 0."""
+    plate, settings = TRANSPARENT[name], EvaluationSettings(temperature=temperature)
+    assert pressure(plate, 1e-6, settings) == 0.0
+    assert pressure(plate, 1e-6, EvaluationSettings(zero_temperature=True)) == 0.0
+    table = eta_sweep(plate, np.geomspace(0.1e-6, 5e-6, 7), settings)
+    assert table.pressure.tolist() == [0.0] * 7 and table.eta.tolist() == [0.0] * 7
+    _, plan, _ = engine._finite_t_pressures(plate, np.array([30e-9, 1e-6]), settings)
+    assert [len(levels) for levels in plan] == [settings.consecutive_small_terms + 1] * 2
+
+
+def test_subnormal_matsubara_terms_converge(rough_plate):
+    """At 1 um and 300 K the terms of the rough plate pass from normal to
+    subnormal floats and to 0 near l = 430-445.  A subnormal term's error
+    target rounded to 0, so its refinement ran out and raised
+    QuadratureBudgetError; every target is now floored at the smallest
+    normal float, and each term returns, falling with l."""
+    sums = [sum(matsubara_pressure_term(rough_plate, 1e-6, l)) for l in range(420, 461)]
+    assert all(0.0 <= s < math.inf for s in sums)
+    assert all(later <= earlier for earlier, later in zip(sums, sums[1:]))
+    assert sums[0] > 0.0 and sums[-1] == 0.0
+
+
 @pytest.mark.parametrize("temperature", [300.0, 0.0])
 def test_matsubara_term_refused_at_zero_temperature(drude_stack, temperature):
     """zero_temperature=True returned the term at the default 300 K, and at

@@ -401,6 +401,30 @@ def test_temperature_conflicting_with_settings_is_refused(synthesize, gold, monk
     assert calls == []
 
 
+def test_settings_are_resolved_once_per_call(synthesize, gold, monkeypatch):
+    """``residuals`` and ``fit_roughness`` resolve their settings once per call,
+    not once per evaluation, and every evaluation gets that one object."""
+    data = synthesize(11e-9, 0.9, np.linspace(300e-9, 700e-9, 4))
+    resolved, given = [], []
+    resolve, evaluate = fit_module._settings_at, fit_module._evaluate
+
+    def resolving(*args):
+        resolved.append(resolve(*args))
+        return resolved[-1]
+
+    def evaluating(h, f, data, material, settings, *args):
+        given.append(settings)
+        return evaluate(h, f, data, material, settings, *args)
+
+    monkeypatch.setattr(fit_module, "_settings_at", resolving)
+    monkeypatch.setattr(fit_module, "_evaluate", evaluating)
+    fit_module.residuals(11e-9, 0.9, data, gold, 300.0)
+    assert len(resolved) == 1 and given == resolved
+    result = _in_process(monkeypatch, data, (5e-9, 0.8), gold, 300.0, max_evaluations=3)
+    assert len(resolved) == 2 and len(given) == 1 + result.n_evaluations == 7
+    assert all(settings is resolved[1] for settings in given[1:])
+
+
 requires_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 
 
@@ -593,8 +617,8 @@ def test_planned_jacobian_matches_the_full_sweep_differences(acceptance_data, go
     settings, h_scale, step = EvaluationSettings(), 1e-8, math.sqrt(1e-9)
 
     def evaluate(y, plan=None):
-        return fit_module._evaluate(y[0] * h_scale, y[1], acceptance_data, gold, 300.0,
-                                    settings, plan, plan is None)
+        return fit_module._evaluate(y[0] * h_scale, y[1], acceptance_data, gold, settings,
+                                    plan, plan is None)
 
     x = np.array([start[0] / h_scale, start[1]])
     r, plan, base = evaluate(x)

@@ -208,6 +208,11 @@ def test_stack_construction_rules():
         LayerStack(((Plasma(GOLD_WP), -1e-9),), Drude(GOLD_WP, GOLD_GAMMA))
     dropped = LayerStack(((Plasma(GOLD_WP), 0.0),), Drude(GOLD_WP, GOLD_GAMMA))
     assert dropped.layers == ()
+    # a rough plate's stack is its layer on its bulk, the bare bulk at h = 0
+    rough, bare = (build_rough_plate(GOLD_WP, GOLD_GAMMA, h, 0.9) for h in (11e-9, 0.0))
+    assert as_layer_stack(rough) == LayerStack(((rough.surface, 11e-9),), rough.bulk)
+    assert as_layer_stack(bare) == LayerStack((), bare.bulk)
+    assert as_layer_stack(bare).media == (bare.bulk,)
 
 
 @pytest.mark.parametrize("thickness", [math.nan, math.inf])
